@@ -97,6 +97,85 @@ void BM_SetAssocCacheLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_SetAssocCacheLookup);
 
+// PTcache-L3 geometry (1 set x 128 ways): the fully-associative cache that
+// strict-mode unmaps flush and the next walk refills.
+constexpr std::uint32_t kL3Ways = 128;
+constexpr std::uint64_t kL3Base = 0x5000;
+
+// Fills a PTcache-L3-shaped cache with tags kL3Base .. kL3Base + 127.
+SetAssocCache FullL3Cache() {
+  SetAssocCache cache(1, kL3Ways);
+  for (std::uint64_t i = 0; i < kL3Ways; ++i) {
+    cache.Insert(kL3Base + i, i);
+  }
+  return cache;
+}
+
+// A seeded stream of `n` tags drawn from [first, first + span).
+std::vector<std::uint64_t> TagStream(std::uint64_t first, std::uint64_t span, std::size_t n) {
+  Rng rng(11);
+  std::vector<std::uint64_t> tags(n);
+  for (std::uint64_t& t : tags) {
+    t = first + rng.NextBelow(span);
+  }
+  return tags;
+}
+
+void BM_PtcacheL3LookupHit(benchmark::State& state) {
+  SetAssocCache cache = FullL3Cache();
+  const std::vector<std::uint64_t> tags = TagStream(kL3Base, kL3Ways, 4096);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Lookup(tags[i++ & 4095]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PtcacheL3LookupHit);
+
+void BM_PtcacheL3LookupMiss(benchmark::State& state) {
+  SetAssocCache cache = FullL3Cache();
+  const std::vector<std::uint64_t> tags = TagStream(kL3Base + kL3Ways, 1 << 20, 4096);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Lookup(tags[i++ & 4095]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PtcacheL3LookupMiss);
+
+// Every insert is a new tag into a full cache, so each one evicts the LRU.
+void BM_PtcacheL3InsertEvict(benchmark::State& state) {
+  SetAssocCache cache = FullL3Cache();
+  std::uint64_t tag = kL3Base + kL3Ways;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Insert(tag++, 0));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PtcacheL3InsertEvict);
+
+// Single-tag InvalidateRange of a resident tag (a strict-mode unmap's L3
+// flush). The cache is refilled, untimed, after every 128 removals.
+void BM_PtcacheL3InvalidateOne(benchmark::State& state) {
+  SetAssocCache cache = FullL3Cache();
+  std::uint64_t next = 0;
+  for (auto _ : state) {
+    if (next == kL3Ways) {
+      state.PauseTiming();
+      for (std::uint64_t i = 0; i < kL3Ways; ++i) {
+        cache.Insert(kL3Base + i, i);
+      }
+      next = 0;
+      state.ResumeTiming();
+    }
+    // Strided order so removals do not follow insertion order.
+    const std::uint64_t tag = kL3Base + ((next++ * 37) & (kL3Ways - 1));
+    benchmark::DoNotOptimize(cache.InvalidateRange(tag, tag));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PtcacheL3InvalidateOne);
+
 void BM_IommuTranslateWarm(benchmark::State& state) {
   StatsRegistry stats;
   MemorySystem memory(MemoryConfig{}, &stats);

@@ -6,6 +6,12 @@
 // entry may carry a 64-bit payload (we store the backing page-table page's
 // generation so the simulator can detect stale-entry use — a safety
 // violation).
+//
+// Bookkeeping is O(1) per tag operation whatever the associativity: an
+// open-addressed index maps each resident tag to its slot, and each
+// replacement group (a set, or one way partition of a set) keeps its slots
+// on an intrusive list ordered most- to least-recently used with invalid
+// slots at the tail, so the victim is always the tail. See DESIGN.md §11.
 #ifndef FASTSAFE_SRC_CACHE_SET_ASSOC_CACHE_H_
 #define FASTSAFE_SRC_CACHE_SET_ASSOC_CACHE_H_
 
@@ -19,8 +25,9 @@ namespace fsio {
 
 class SetAssocCache {
  public:
-  // `num_sets` must be a power of two; `ways` >= 1. A fully-associative cache
-  // of N entries is (num_sets=1, ways=N).
+  // `num_sets` must be a power of two (throws std::invalid_argument
+  // otherwise); `ways` == 0 means 1. A fully-associative cache of N entries
+  // is (num_sets=1, ways=N).
   SetAssocCache(std::uint32_t num_sets, std::uint32_t ways);
 
   // Handle to the entry a Lookup hit. Stays valid — and RepeatHit stays
@@ -80,8 +87,12 @@ class SetAssocCache {
   // so one partition's insertions can never evict another's entries (the
   // IOTLB side-channel defense). Lookups still probe every way. `partitions`
   // is clamped to the way count; partitions <= 1 restores the shared policy.
+  // Entries already resident stay in the ways they occupy.
   void EnableWayPartitioning(std::uint32_t partitions, std::uint64_t field_shift,
                              std::uint64_t field_mask);
+
+  // The set `tag` maps to (tests and reference models).
+  std::uint32_t SetOf(std::uint64_t tag) const;
 
   std::uint32_t num_sets() const { return num_sets_; }
   std::uint32_t ways() const { return ways_; }
@@ -95,26 +106,67 @@ class SetAssocCache {
   void ResetStats();
 
  private:
+  static constexpr std::uint32_t kNoSlot = ~0u;
+
   struct Entry {
-    bool valid = false;
+    // Position of this entry's tag in index_; kNoSlot marks an invalid slot.
+    std::uint32_t index_pos = kNoSlot;
+    std::uint32_t group = 0;  // replacement group (list) this slot belongs to
     std::uint64_t tag = 0;
     std::uint64_t payload = 0;
     std::uint64_t lru = 0;  // last-touch tick, larger = more recent
+    bool valid() const { return index_pos != kNoSlot; }
+  };
+  // Doubly linked list node. Nodes [0, capacity) are slots; node
+  // capacity + g is the sentinel of replacement group g.
+  struct Link {
+    std::uint32_t prev = 0;
+    std::uint32_t next = 0;
+  };
+  // Open-addressed (linear probing) tag -> slot index entry.
+  struct IndexEntry {
+    std::uint64_t tag = 0;
+    std::uint32_t slot = kNoSlot;  // kNoSlot = empty
   };
 
-  std::size_t SetIndexFor(std::uint64_t tag) const;
-  Entry* FindEntry(std::uint64_t tag);
-  const Entry* FindEntry(std::uint64_t tag) const;
+  std::size_t IndexHome(std::uint64_t tag) const;
+  // Index position holding `tag` if present, else the empty position that
+  // ends its probe chain (where an insert of `tag` goes).
+  std::size_t IndexProbe(std::uint64_t tag) const;
+  void IndexEraseAt(std::size_t pos);
+
+  std::uint32_t GroupFor(std::uint64_t tag) const;
+  std::uint32_t Sentinel(std::uint32_t group) const {
+    return static_cast<std::uint32_t>(entries_.size()) + group;
+  }
+  void Unlink(std::uint32_t node);
+  void LinkAfter(std::uint32_t at, std::uint32_t node);
+  void MoveToFront(std::uint32_t slot);  // most recently used
+  void MoveToBack(std::uint32_t slot);   // next victim
+  // Refreshes a hit entry: counter, LRU tick and list position.
+  std::uint64_t Touch(std::uint32_t slot);
+  // Drops the valid entry in `slot`.
+  void Drop(std::uint32_t slot);
+  // Removes every valid entry matching `pred`; one pass over the slots.
+  template <typename Pred>
+  std::uint64_t DropMatching(Pred pred);
+  // Reassigns slots to replacement groups and relinks every group's list in
+  // LRU-tick order (construction and EnableWayPartitioning).
+  void RebuildLists();
 
   std::uint32_t num_sets_;
   std::uint32_t ways_;
   // Way partitioning (EnableWayPartitioning); partitions_ <= 1 = disabled.
   std::uint32_t partitions_ = 1;
+  std::uint32_t groups_per_set_ = 1;
   std::uint64_t partition_field_shift_ = 0;
   std::uint64_t partition_field_mask_ = 0;
   std::uint64_t tick_ = 0;
   std::uint64_t mut_version_ = 0;
   std::vector<Entry> entries_;  // num_sets_ * ways_, set-major
+  std::vector<Link> links_;     // entries_.size() slots, then one sentinel per group
+  std::vector<IndexEntry> index_;  // power-of-two size >= 4 * capacity
+  unsigned index_shift_ = 0;       // 64 - log2(index_.size())
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -34,10 +34,29 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
     hosts_.push_back(std::make_unique<Host>(host_config, &ev_));
   }
   WireHosts();
-  // Pre-size the event arena for the expected steady-state event population
-  // (per-core NAPI batches, per-packet DMA commits, transport timers), so
-  // warm-up does not grow it chunk by chunk.
-  ev_.Reserve(static_cast<std::size_t>(config_.num_hosts) * config_.cores * 64);
+  ReserveEvents();
+}
+
+void Cluster::ReserveEvents() {
+  // Pre-size the event arena for the steady-state event population, so no
+  // window grows it. Each core carries a bounded set of NAPI batches, DMA
+  // commits and device timers. The bulk of the population is DCTCP's RTO
+  // timers, which are cancelled lazily: each ACK that advances snd_una arms
+  // a fresh timer and leaves the superseded one queued until it expires, so
+  // up to one min-RTO's worth of ACKs is pending. A flow ACKs at least every
+  // ack_delay_ns while data is outstanding, and each host's line rate adds
+  // at most one ACK per ack_every_bytes MSS received.
+  constexpr std::size_t kEventsPerCore = 64;
+  const DctcpConfig& tcp = config_.dctcp;
+  const std::uint64_t flows = next_flow_id_ - 1;
+  const std::uint64_t per_flow = tcp.min_rto_ns / std::max<TimeNs>(tcp.ack_delay_ns, 1) + 1;
+  const double line_bytes = config_.network.port_gbps / 8.0 * static_cast<double>(tcp.min_rto_ns);
+  const auto per_host = static_cast<std::uint64_t>(
+      line_bytes / static_cast<double>(std::max<std::uint64_t>(
+                       std::uint64_t{tcp.ack_every_bytes} * tcp.mss_bytes, 1)));
+  ev_.Reserve(static_cast<std::size_t>(config_.num_hosts) *
+                  (std::size_t{config_.cores} * kEventsPerCore + per_host + 1) +
+              flows * per_flow);
 }
 
 void Cluster::BuildFabric() {
@@ -115,6 +134,7 @@ DctcpSender* Cluster::AddFlow(std::uint32_t src_host, std::uint32_t dst_host,
   // The receiver's ACKs are routed back to (src_host, src_core).
   hosts_[dst_host]->AddReceiver(flow_id, dst_core, src_host, src_core, config_.dctcp,
                                 std::move(deliver));
+  ReserveEvents();
   return sender;
 }
 

@@ -153,6 +153,9 @@ class Cluster {
   }
   void BuildFabric();
   void WireHosts();
+  // Grows the event arena to cover the pending-event bound of the flows
+  // added so far (see cluster.cc).
+  void ReserveEvents();
   void UpdateEvqStats();
   WindowResult ComputeResult(std::uint32_t host_id,
                              const std::map<std::string, std::uint64_t>& before,

@@ -250,10 +250,9 @@ TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs start) {
 
   // Coalesce with an in-flight walk for the same (domain, page), if any: the
   // request waits for that walk instead of starting its own.
-  if (auto it = pending_walks_.find(dbits | page);
-      it != pending_walks_.end() && it->second.done > start) {
-    out.phys = it->second.phys + (iova & (kPageSize - 1));
-    out.done = it->second.done;
+  if (const PendingWalkTable::Walk* walk = pending_walks_.FindInFlight(dbits | page, start)) {
+    out.phys = walk->phys + (iova & (kPageSize - 1));
+    out.done = walk->done;
     NotifyOracle(domain, iova, start, out);
     return out;
   }
@@ -435,17 +434,8 @@ TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova
       NoteIotlbInsert(tag, domain, evicted);
     }
   }
-  pending_walks_[dbits | page] = PendingWalk{t, walk.phys & ~(kPageSize - 1)};
-  if (pending_walks_.size() > 8192) {
-    // Prune completed walks so the map stays small.
-    for (auto it = pending_walks_.begin(); it != pending_walks_.end();) {
-      if (it->second.done <= start) {
-        it = pending_walks_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  pending_walks_.Record(dbits | page, PendingWalkTable::Walk{t, walk.phys & ~(kPageSize - 1)},
+                        start);
   return out;
 }
 
@@ -476,7 +466,7 @@ TimeNs Iommu::InvalidateRange(DomainId domain, Iova start, std::uint64_t len, bo
   iotlb_.InvalidateRange(kHugeIotlbTagBit | iotlb_dbits | LevelTag(start, 3),
                          kHugeIotlbTagBit | iotlb_dbits | LevelTag(end, 3));
   for (std::uint64_t page = PageNumber(start); page <= PageNumber(end); ++page) {
-    pending_walks_.erase(dbits | page);
+    pending_walks_.Erase(dbits | page);
   }
   if (!leaf_only) {
     for (int level = 1; level <= 3; ++level) {
@@ -513,7 +503,7 @@ TimeNs Iommu::InvalidateAll(TimeNs at) {
   ptcache_l1_.InvalidateAll();
   ptcache_l2_.InvalidateAll();
   ptcache_l3_.InvalidateAll();
-  pending_walks_.clear();
+  pending_walks_.Clear();
   iotlb_owner_.clear();
   TimeNs done = at + config_.invalidation_hw_ns;
   if (fault_injector_ != nullptr) {
@@ -545,13 +535,7 @@ TimeNs Iommu::InvalidateDomain(DomainId domain, TimeNs at) {
   for (SetAssocCache* pc : ptcaches_) {
     pc->InvalidateMasked(kDomainFieldMask, dbits);
   }
-  for (auto it = pending_walks_.begin(); it != pending_walks_.end();) {
-    if ((it->first & kDomainFieldMask) == dbits) {
-      it = pending_walks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  pending_walks_.EraseMasked(kDomainFieldMask, dbits);
   for (auto it = iotlb_owner_.begin(); it != iotlb_owner_.end();) {
     if (it->second == domain) {
       it = iotlb_owner_.erase(it);

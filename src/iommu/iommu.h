@@ -42,6 +42,7 @@
 #include "src/cache/set_assoc_cache.h"
 #include "src/faults/fault_injector.h"
 #include "src/faults/safety_oracle.h"
+#include "src/iommu/pending_walk_table.h"
 #include "src/mem/address.h"
 #include "src/mem/memory_system.h"
 #include "src/pagetable/io_page_table.h"
@@ -194,11 +195,6 @@ class Iommu {
   void SetTrace(const TraceScope& trace) { trace_ = trace; }
 
  private:
-  struct PendingWalk {
-    TimeNs done = 0;
-    PhysAddr phys = 0;
-  };
-
   // Memo of the last IOTLB hit. Consecutive TLPs of one DMA translate the
   // same 4 KB page, so Translate can replay the hit (identical counter, LRU
   // and safety effects) without the tag search or the safety walk — valid
@@ -254,7 +250,7 @@ class Iommu {
 
   std::vector<TimeNs> walker_free_;
   // (domain-tagged page) -> in-flight walk.
-  std::unordered_map<std::uint64_t, PendingWalk> pending_walks_;
+  PendingWalkTable pending_walks_;
   RepeatMemo repeat_;
 
   // Owner of each resident IOTLB entry, keyed by the entry's tag as stored.

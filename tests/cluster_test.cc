@@ -164,6 +164,29 @@ TEST(ClusterTest, SteadyStateSchedulerIsAllocationFree) {
   EXPECT_GT(cluster.evq_stats().Value("evq.executed"), 0u);
 }
 
+TEST(ClusterTest, BulkStrictEventArenaNeverGrowsAfterSetup) {
+  // Fig. 2's heaviest point: 40 strict-mode flows on 5 cores. Each ACK arms
+  // a fresh DCTCP RTO timer and the superseded ones stay queued, so pending
+  // events climb past one arena chunk. The reservation made as flows are
+  // added must cover that from the start: warm-up included, no window grows
+  // the arena.
+  ClusterConfig config;
+  config.mode = ProtectionMode::kStrict;
+  config.cores = 5;
+  config.ring_size_pkts = 256;
+  config.mtu_bytes = 4096;
+  Cluster cluster(config);
+  cluster.AddBulkFlows(0, 1, 40);
+  const std::uint64_t after_setup = cluster.ev().allocations();
+  cluster.MeasureWindowAll(kWarmup);
+  for (int window = 0; window < 3; ++window) {
+    cluster.MeasureWindowAll(kWindow);
+    EXPECT_EQ(cluster.evq_stats().Value("evq.allocations"), after_setup)
+        << "event arena grew by window " << window;
+  }
+  EXPECT_GT(cluster.ev().pending(), 0u);
+}
+
 TEST(ClusterTest, HostIdsAreAssigned) {
   ClusterConfig config;
   config.num_hosts = 4;

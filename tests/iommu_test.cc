@@ -2,12 +2,16 @@
 // accounting, walk coalescing, invalidation semantics and the safety oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <unordered_map>
 
 #include "src/iommu/iommu.h"
+#include "src/iommu/pending_walk_table.h"
 #include "src/mem/address.h"
 #include "src/mem/memory_system.h"
 #include "src/pagetable/io_page_table.h"
+#include "src/simcore/rng.h"
 #include "src/stats/counters.h"
 
 namespace fsio {
@@ -275,6 +279,120 @@ TEST_F(IommuTest, InvalidationRequestsCompleteAfterHardwareLatency) {
   EXPECT_EQ(a, 100u + config_.invalidation_hw_ns);
   EXPECT_EQ(b, 300u + config_.invalidation_hw_ns);
   EXPECT_EQ(stats_->Value("iommu.inv_requests"), 2u);
+}
+
+// A miss whose IOTLB entry was evicted while its walk is still in flight
+// waits on that walk (done > start) instead of walking again; once the walk
+// is done, or the page was invalidated, it walks afresh.
+TEST_F(IommuTest, MissCoalescesOntoInFlightWalkUntilDoneOrInvalidated) {
+  IommuConfig config;
+  config.iotlb_sets = 1;
+  config.iotlb_ways = 1;
+  Rebuild(config);
+  ASSERT_TRUE(page_table_->Map(0x1000, 0xaa000));
+  ASSERT_TRUE(page_table_->Map(0x2000, 0xbb000));
+  const TranslationResult a = iommu_->Translate(0x1000, 0);
+  iommu_->Translate(0x2000, 0);  // evicts page 0x1000's IOTLB entry
+  ASSERT_GT(a.done, 1u);
+  const std::uint64_t walks = stats_->Value("iommu.iotlb_miss");
+
+  const TranslationResult joined = iommu_->Translate(0x1040, a.done - 1);
+  EXPECT_FALSE(joined.iotlb_hit);
+  EXPECT_EQ(joined.done, a.done);
+  EXPECT_EQ(joined.phys, 0xaa040u);
+  EXPECT_EQ(joined.mem_reads, 0);
+  EXPECT_EQ(stats_->Value("iommu.iotlb_miss"), walks);
+
+  const TranslationResult after = iommu_->Translate(0x1040, a.done);
+  EXPECT_GT(after.mem_reads, 0);
+  EXPECT_EQ(stats_->Value("iommu.iotlb_miss"), walks + 1);
+
+  // `after` is now page 0x1000's recorded walk. Evict its IOTLB entry and
+  // invalidate the page: a miss issued before `after` is done must walk
+  // instead of waiting on the dropped walk.
+  iommu_->Translate(0x2000, after.done);
+  iommu_->InvalidateRange(0x1000, kPageSize, /*leaf_only=*/true, after.done);
+  const TranslationResult fresh = iommu_->Translate(0x1000, after.done - 1);
+  EXPECT_GT(fresh.mem_reads, 0);
+  EXPECT_EQ(stats_->Value("iommu.iotlb_miss"), walks + 3);
+}
+
+TEST(PendingWalkTableTest, CoalescesOnlyBeforeDone) {
+  PendingWalkTable table;
+  table.Record(7, PendingWalkTable::Walk{100, 0x7000}, /*start=*/0);
+  const PendingWalkTable::Walk* w = table.FindInFlight(7, 99);
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(w->done, 100u);
+  EXPECT_EQ(w->phys, 0x7000u);
+  EXPECT_EQ(table.FindInFlight(7, 100), nullptr);
+  EXPECT_EQ(table.FindInFlight(8, 0), nullptr);
+  table.Erase(7);
+  EXPECT_EQ(table.FindInFlight(7, 0), nullptr);
+  EXPECT_EQ(table.size(), 0u);
+}
+
+// Lockstep against a std::unordered_map with the table's rules: coalesce
+// only while done > start, erase by key and by mask, prune above the
+// threshold. Dense, colliding keys exercise backward-shift deletion and
+// growth past the initial slot count.
+TEST(PendingWalkTableTest, MatchesMapModel) {
+  PendingWalkTable table;
+  std::unordered_map<std::uint64_t, PendingWalkTable::Walk> model;
+  Rng rng(5);
+  TimeNs now = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t key = (rng.NextBelow(4) << 48) | rng.NextBelow(12000);
+    now += rng.NextBelow(3);
+    const std::uint64_t op = rng.NextBelow(100);
+    if (op < 50) {
+      const PendingWalkTable::Walk w{now + 1 + rng.NextBelow(20000), key << 12};
+      table.Record(key, w, now);
+      model[key] = w;
+      if (model.size() > PendingWalkTable::kPruneAbove) {
+        std::erase_if(model, [&](const auto& kv) { return kv.second.done <= now; });
+      }
+    } else if (op < 90) {
+      const TimeNs start = now - std::min<TimeNs>(now, rng.NextBelow(20000));
+      const PendingWalkTable::Walk* got = table.FindInFlight(key, start);
+      const auto it = model.find(key);
+      const bool want = it != model.end() && it->second.done > start;
+      ASSERT_EQ(got != nullptr, want) << "step " << i;
+      if (want) {
+        ASSERT_EQ(got->done, it->second.done);
+        ASSERT_EQ(got->phys, it->second.phys);
+      }
+    } else if (op < 99) {
+      table.Erase(key);
+      model.erase(key);
+    } else {
+      const std::uint64_t dbits = rng.NextBelow(4) << 48;
+      table.EraseMasked(0x3ffULL << 48, dbits);
+      std::erase_if(model, [&](const auto& kv) { return (kv.first & (0x3ffULL << 48)) == dbits; });
+    }
+    ASSERT_EQ(table.size(), model.size()) << "step " << i;
+  }
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.FindInFlight(1, 0), nullptr);
+}
+
+// More in-flight walks than the prune threshold all stay findable: pruning
+// drops only completed walks, and the table grows instead.
+TEST(PendingWalkTableTest, KeepsEveryInFlightWalkPastPruneThreshold) {
+  PendingWalkTable table;
+  const std::uint64_t n = 3 * PendingWalkTable::kPruneAbove;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    table.Record(k, PendingWalkTable::Walk{1000 + k, k << 12}, /*start=*/10);
+  }
+  EXPECT_EQ(table.size(), n);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    const PendingWalkTable::Walk* w = table.FindInFlight(k, 999);
+    ASSERT_NE(w, nullptr) << k;
+    EXPECT_EQ(w->phys, k << 12);
+  }
+  // A record at a start past every walk prunes all but itself.
+  table.Record(n, PendingWalkTable::Walk{1'000'000, 0}, /*start=*/500'000);
+  EXPECT_EQ(table.size(), 1u);
 }
 
 }  // namespace

@@ -109,7 +109,7 @@ void PrintUsage() {
       "  --mtu=N              wire MTU bytes (default 4096)\n"
       "  --hugepages          2 MB-backed Rx descriptors\n"
       "  --walkers=N          IOMMU walk contexts (default 1)\n"
-      "  --iotlb-entries=N    IOTLB capacity (default 64)\n"
+      "  --iotlb-entries=N    IOTLB capacity, a power of two >= 4 (default 64)\n"
       "  --warmup-ms=N        warmup before measuring (default 20)\n"
       "  --window-ms=N        measurement window (default 40)\n"
       "\ntopology:\n"
@@ -259,6 +259,14 @@ Options Parse(int argc, char** argv) {
   return options;
 }
 
+// --iotlb-entries keeps the IOTLB 4-way set-associative. The set index is a
+// mask, so the set count (entries / 4) must be a power of two.
+constexpr std::uint32_t kIotlbWays = 4;
+
+bool ValidIotlbEntries(std::uint32_t entries) {
+  return entries >= kIotlbWays && (entries & (entries - 1)) == 0;
+}
+
 fsio::ClusterConfig MakeClusterConfig(const Options& options) {
   fsio::ClusterConfig config;
   config.num_hosts = options.hosts;
@@ -270,9 +278,8 @@ fsio::ClusterConfig MakeClusterConfig(const Options& options) {
   config.host.use_hugepages = options.hugepages;
   config.host.iommu.num_walkers = options.walkers;
   // Keep 4-way associativity; scale the set count.
-  config.host.iommu.iotlb_ways = 4;
-  config.host.iommu.iotlb_sets =
-      options.iotlb_entries >= 4 ? options.iotlb_entries / 4 : 1;
+  config.host.iommu.iotlb_ways = kIotlbWays;
+  config.host.iommu.iotlb_sets = options.iotlb_entries / kIotlbWays;
   return config;
 }
 
@@ -359,9 +366,8 @@ int RunTenants(const Options& options) {
 
   fsio::TenantSystemConfig config;
   config.iommu.num_walkers = options.walkers;
-  config.iommu.iotlb_ways = 4;
-  config.iommu.iotlb_sets =
-      options.iotlb_entries >= 4 ? options.iotlb_entries / 4 : 1;
+  config.iommu.iotlb_ways = kIotlbWays;
+  config.iommu.iotlb_sets = options.iotlb_entries / kIotlbWays;
   if (options.iotlb_partition == "per_domain") {
     config.iommu.iotlb_partitions = options.tenants < 2 ? 2 : options.tenants;
   }
@@ -412,6 +418,11 @@ int RunTenants(const Options& options) {
 
 int main(int argc, char** argv) {
   const Options options = Parse(argc, argv);
+  if (!ValidIotlbEntries(options.iotlb_entries)) {
+    std::fprintf(stderr, "--iotlb-entries must be a power of two >= %u (got %u)\n", kIotlbWays,
+                 options.iotlb_entries);
+    return 2;
+  }
   if (options.tenants > 0) {
     return RunTenants(options);
   }
