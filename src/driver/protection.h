@@ -8,6 +8,8 @@
 #ifndef FASTSAFE_SRC_DRIVER_PROTECTION_H_
 #define FASTSAFE_SRC_DRIVER_PROTECTION_H_
 
+#include <string_view>
+
 namespace fsio {
 
 enum class ProtectionMode {
@@ -51,6 +53,51 @@ constexpr const char* ProtectionModeName(ProtectionMode mode) {
       return "capability";
   }
   return "?";
+}
+
+// Every protection mode, in declaration order: the one mode table. Suites,
+// sweeps and tools iterate it instead of spelling the modes out, so a new
+// mode is picked up everywhere (or fails the exhaustive switches below).
+inline constexpr ProtectionMode kAllModes[] = {
+    ProtectionMode::kOff,           ProtectionMode::kStrict,
+    ProtectionMode::kDeferred,      ProtectionMode::kStrictPreserve,
+    ProtectionMode::kStrictContig,  ProtectionMode::kFastSafe,
+    ProtectionMode::kHugepagePersistent, ProtectionMode::kCapability,
+};
+
+// Single-token spelling of a mode for CLI flags and repro/trace files
+// (ProtectionModeName() is a human-facing label with punctuation).
+constexpr const char* ModeToken(ProtectionMode mode) {
+  switch (mode) {
+    case ProtectionMode::kOff:
+      return "off";
+    case ProtectionMode::kStrict:
+      return "strict";
+    case ProtectionMode::kDeferred:
+      return "deferred";
+    case ProtectionMode::kStrictPreserve:
+      return "strict-preserve";
+    case ProtectionMode::kStrictContig:
+      return "strict-contig";
+    case ProtectionMode::kFastSafe:
+      return "fast-safe";
+    case ProtectionMode::kHugepagePersistent:
+      return "hugepage-persistent";
+    case ProtectionMode::kCapability:
+      return "capability";
+  }
+  return "?";
+}
+
+// Inverse of ModeToken(); false (and *mode untouched) for unknown tokens.
+constexpr bool ParseModeToken(std::string_view token, ProtectionMode* mode) {
+  for (ProtectionMode m : kAllModes) {
+    if (token == ModeToken(m)) {
+      *mode = m;
+      return true;
+    }
+  }
+  return false;
 }
 
 // True if the mode guarantees the strict safety property: a device can never

@@ -6,7 +6,8 @@
 // FaultInjector evaluates specs with a per-kind SplitMix64 stream derived
 // from the plan seed, so the same plan + seed + workload always produces the
 // same fault sequence — a prerequisite for reproducible violation traces
-// (tools/safety_fuzz relies on byte-identical reruns).
+// (the fault matrix, fsio_diff --fault-plan, relies on byte-identical
+// reruns).
 //
 // Components never know which plan is active; they ask "does fault K fire
 // here?" at their hook point and apply the returned magnitude. A null

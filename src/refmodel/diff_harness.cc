@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/driver/dma_api.h"
+#include "src/faults/invariant_registry.h"
 #include "src/faults/safety_oracle.h"
 #include "src/iommu/iommu.h"
 #include "src/iova/iova_allocator.h"
@@ -19,17 +20,6 @@
 namespace fsio {
 namespace {
 
-constexpr ProtectionMode kModeByToken[] = {
-    ProtectionMode::kOff,           ProtectionMode::kStrict,
-    ProtectionMode::kDeferred,      ProtectionMode::kStrictPreserve,
-    ProtectionMode::kStrictContig,  ProtectionMode::kFastSafe,
-    ProtectionMode::kHugepagePersistent, ProtectionMode::kCapability,
-};
-constexpr const char* kModeTokens[] = {
-    "off", "strict", "deferred", "strict-preserve", "strict-contig", "fast-safe",
-    "hugepage-persistent", "capability",
-};
-
 // Descriptors still owned by the (simulated) NIC.
 struct LiveDesc {
   std::vector<DmaMapping> mappings;
@@ -38,25 +28,6 @@ struct LiveDesc {
 };
 
 }  // namespace
-
-const char* ModeToken(ProtectionMode mode) {
-  for (std::size_t i = 0; i < std::size(kModeByToken); ++i) {
-    if (kModeByToken[i] == mode) {
-      return kModeTokens[i];
-    }
-  }
-  return "?";
-}
-
-bool ParseModeToken(const std::string& token, ProtectionMode* mode) {
-  for (std::size_t i = 0; i < std::size(kModeTokens); ++i) {
-    if (token == kModeTokens[i]) {
-      *mode = kModeByToken[i];
-      return true;
-    }
-  }
-  return false;
-}
 
 bool ParseBugToken(const std::string& token, InjectedBug* bug) {
   for (InjectedBug b : {InjectedBug::kNone, InjectedBug::kUseAfterUnmap,
@@ -102,7 +73,16 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
   const std::uint32_t num_domains = config.num_domains == 0 ? 1 : config.num_domains;
   const bool multi = num_domains > 1;
   StatsRegistry stats;
+  FaultPlan plan;
+  if (!FindFaultPlan(config.fault_plan, config.seed, &plan)) {
+    out.diverged = true;
+    out.message = "unknown fault plan: " + config.fault_plan;
+    return out;
+  }
+  FaultInjector injector(plan, &stats);
+  InvariantRegistry invariants(&stats);
   FrameAllocator frame_alloc;
+  frame_alloc.SetFaultInjector(&injector);
   MemorySystem mem(MemoryConfig{}, &stats);
 
   // One stack per protection domain: the real driver objects plus the model
@@ -134,6 +114,7 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
   IommuConfig iommu_config;
   iommu_config.inject_untagged_iotlb = config.bug == InjectedBug::kUntaggedIotlb;
   Iommu iommu(iommu_config, &mem, multi ? host_pt.get() : stacks[0].pt.get(), &stats);
+  iommu.SetFaultInjector(&injector);
 
   for (DomainStack& s : stacks) {
     s.id = multi ? iommu.AddDomain(s.pt.get()) : kHostDomain;
@@ -141,6 +122,7 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
     iova_config.num_cores = config.num_cores;
     iova_config.enable_rcache = config.enable_rcache;
     s.iova = std::make_unique<IovaAllocator>(iova_config, &stats);
+    s.iova->SetFaultInjector(&injector);
     DmaApiConfig dma_config;
     dma_config.mode = config.mode;
     dma_config.pages_per_chunk = config.pages_per_chunk;
@@ -156,6 +138,15 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
     // attribution stays per-domain instead of blurring across tenants.
     s.oracle = std::make_unique<SafetyOracle>(multi ? nullptr : &stats);
     s.dma->SetSafetyOracle(s.oracle.get());
+    s.dma->SetFaultInjector(&injector);
+    s.dma->RegisterInvariants(&invariants);
+    invariants.Register("oracle.no_overlap", [oracle = s.oracle.get()](std::string* d) {
+      if (oracle->overlap_maps() != 0) {
+        *d = "overlapping live map observed";
+        return false;
+      }
+      return true;
+    });
     if (multi) {
       iommu.SetDomainOracle(s.id, s.oracle.get());
     } else {
@@ -170,6 +161,18 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
   const bool real_unmaps = !off && !persistent;
 
   TimeNs t = 0;
+  std::uint64_t check_failures = 0;
+
+  // Injected frame-allocation failures (kNullFrame) are transient: retry.
+  // This terminates: alloc-pressure's frame spec fires with p < 1, and only
+  // within its first 400 samples.
+  auto alloc_frame = [&frame_alloc](bool huge = false) {
+    PhysAddr frame = kNullFrame;
+    while (frame == kNullFrame) {
+      frame = huge ? frame_alloc.AllocHugeFrame() : frame_alloc.AllocFrame();
+    }
+    return frame;
+  };
 
   auto diverge = [&](std::size_t index, const std::string& why) {
     out.diverged = true;
@@ -276,8 +279,8 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
     switch (op.kind) {
       case OpKind::kMapRx: {
         if (persistent) {
-          DmaApi::MapResult r = dma.AcquirePersistentDescriptor(
-              op.core, [&] { return frame_alloc.AllocHugeFrame(); });
+          DmaApi::MapResult r =
+              dma.AcquirePersistentDescriptor(op.core, [&] { return alloc_frame(true); });
           t += r.cpu_ns;
           if (r.mappings.empty()) {
             break;
@@ -300,7 +303,7 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
         LiveDesc d;
         d.frames.reserve(config.pages_per_chunk);
         for (std::uint32_t p = 0; p < config.pages_per_chunk; ++p) {
-          d.frames.push_back(frame_alloc.AllocFrame());
+          d.frames.push_back(alloc_frame());
         }
         DmaApi::MapResult r = dma.MapPages(op.core, d.frames);
         t += r.cpu_ns;
@@ -321,7 +324,7 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
         break;
       }
       case OpKind::kMapTx: {
-        const PhysAddr frame = frame_alloc.AllocFrame();
+        const PhysAddr frame = alloc_frame();
         DmaApi::MapResult r = dma.MapPage(op.core, frame);
         t += r.cpu_ns;
         if (r.mappings.empty()) {
@@ -387,9 +390,20 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
             retired.push_back(m.iova);
           }
         } else {
+          // Injected completion faults: a late completion delays the unmap,
+          // a duplicate one replays it. The driver must detect the replay as
+          // a double unmap; the model sees a single unmap.
+          if (const FaultDecision late = injector.Sample(FaultKind::kDescCompletionReorder, t);
+              late.fire) {
+            t += late.magnitude_ns;
+          }
+          const bool duplicate = injector.Sample(FaultKind::kDescCompletionDuplicate, t).fire;
           const std::size_t pending_before = dma.deferred_pending();
           DmaApi::UnmapResultInfo r = dma.UnmapDescriptor(op.core, d.mappings, t);
           t += r.cpu_ns;
+          if (duplicate) {
+            t += dma.UnmapDescriptor(op.core, d.mappings, t).cpu_ns;
+          }
           if (!off) {
             for (const DmaMapping& m : d.mappings) {
               model.Unmap(PageNumber(m.iova));
@@ -440,6 +454,11 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
       check_state(i);
     }
     if (!out.diverged && (i % 128 == 127 || i + 1 == ops.size())) {
+      if (const std::uint64_t failed = invariants.CheckAll(t); failed != 0) {
+        check_failures += failed;
+        const InvariantFailure& f = invariants.failures().back();
+        diverge(i, "invariant " + f.name + " failed: " + f.detail);
+      }
       for (std::size_t di = 0; di < stacks.size() && !out.diverged; ++di) {
         std::string detail;
         if (!stacks[di].pt->CheckConsistency(&detail)) {
@@ -451,6 +470,18 @@ DiffResult DifferentialHarness::Run(const DiffConfig& config, const std::vector<
         }
       }
     }
+  }
+  for (const DomainStack& s : stacks) {
+    out.violations += s.oracle->total_violations();
+    out.use_after_unmap += s.oracle->count(SafetyViolationKind::kUseAfterUnmap);
+  }
+  out.check_failures = check_failures;
+  out.hard_failures = invariants.failure_count() - check_failures;
+  out.inv_retries = stats.Value("dma.inv_retries");
+  out.inv_fallbacks = stats.Value("dma.inv_fallback_flushes");
+  out.double_unmaps = stats.Value("dma.double_unmap");
+  for (int k = 0; k < static_cast<int>(FaultKind::kCount); ++k) {
+    out.fired[k] = injector.fired(static_cast<FaultKind>(k));
   }
   return out;
 }
@@ -485,6 +516,10 @@ std::string DifferentialHarness::Serialize(const DiffConfig& config,
     // Only multi-domain repros carry the key, so single-domain repro files
     // stay byte-identical to the pre-tenant format.
     os << "num_domains " << config.num_domains << "\n";
+  }
+  if (config.fault_plan != kBaselinePlan) {
+    // Likewise: fault-free repros keep the pre-fault-plan format.
+    os << "fault_plan " << config.fault_plan << "\n";
   }
   os << "bug " << InjectedBugName(config.bug) << "\n";
   os << "ops " << ops.size() << "\n";
@@ -537,6 +572,12 @@ bool DifferentialHarness::Parse(const std::string& text, DiffConfig* config,
       ls >> config->num_cores;
     } else if (key == "num_domains") {
       ls >> config->num_domains;
+    } else if (key == "fault_plan") {
+      ls >> config->fault_plan;
+      FaultPlan plan;
+      if (!FindFaultPlan(config->fault_plan, 0, &plan)) {
+        return fail("unknown fault plan: " + config->fault_plan);
+      }
     } else if (key == "bug") {
       std::string token;
       ls >> token;

@@ -30,6 +30,15 @@
 //                           revoked buffer is accessed anyway. Meaningful
 //                           only with mode == kCapability.
 //
+// Fault plans (DiffConfig::fault_plan, a name from src/faults/fault_plans.h)
+// run the same lockstep under injected environment faults: one seeded
+// FaultInjector feeds the IOMMU, the IOVA and frame allocators and every
+// DmaApi, and kUnmap samples duplicate and late descriptor completions. The
+// model is never told about a fault — the contract must hold through the
+// driver's degradation paths — and the run reports the injected fires, the
+// driver's retry/fallback/double-unmap counters and the safety-oracle and
+// invariant-registry verdicts in DiffResult.
+//
 // Multi-domain runs (num_domains >= 2) drive one shared IOMMU with a full
 // per-domain stack (page table, IOVA allocator, DmaApi, oracle, RefModel)
 // behind each domain id; each op dispatches to a domain by its arg's high
@@ -38,11 +47,14 @@
 #ifndef FASTSAFE_SRC_REFMODEL_DIFF_HARNESS_H_
 #define FASTSAFE_SRC_REFMODEL_DIFF_HARNESS_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/driver/protection.h"
+#include "src/faults/fault_injector.h"
+#include "src/faults/fault_plans.h"
 #include "src/refmodel/ref_model.h"
 
 namespace fsio {
@@ -115,6 +127,7 @@ struct DiffConfig {
   // 1 = the classic single-tenant harness (host domain only). >= 2 builds a
   // per-domain stack behind each of that many tenant domains on one IOMMU.
   std::uint32_t num_domains = 1;
+  std::string fault_plan{kBaselinePlan};  // a NamedFaultPlans() name
 };
 
 struct DiffResult {
@@ -127,11 +140,25 @@ struct DiffResult {
   std::uint64_t dmas = 0;
   std::uint64_t faults = 0;
   std::uint64_t stale_uses = 0;
+  // Safety-oracle verdicts summed over every domain.
+  std::uint64_t violations = 0;
+  std::uint64_t use_after_unmap = 0;
+  // Failed registered invariant checks (each also ends the run as a
+  // divergence) and hard failures components reported directly, such as a
+  // detected double unmap.
+  std::uint64_t check_failures = 0;
+  std::uint64_t hard_failures = 0;
+  // The driver's degradation counters ("dma.inv_retries",
+  // "dma.inv_fallback_flushes", "dma.double_unmap").
+  std::uint64_t inv_retries = 0;
+  std::uint64_t inv_fallbacks = 0;
+  std::uint64_t double_unmaps = 0;
+  // Injected fires per FaultKind.
+  std::array<std::uint64_t, static_cast<int>(FaultKind::kCount)> fired{};
+
+  bool operator==(const DiffResult&) const = default;
 };
 
-// Short mode tokens for CLI flags and repro files ("strict", "fast-safe", ...).
-const char* ModeToken(ProtectionMode mode);
-bool ParseModeToken(const std::string& token, ProtectionMode* mode);
 bool ParseBugToken(const std::string& token, InjectedBug* bug);
 
 class DifferentialHarness {

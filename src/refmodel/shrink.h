@@ -7,6 +7,8 @@
 //     the real stack + RefModel (src/refmodel/diff_harness.cc).
 //   * ModelChecker::Shrink — interleaving traces replayed against the
 //     abstract protocol model (src/check/checker.cc).
+//   * fsio_chaos --break-recovery — cluster fault-event lists replayed
+//     against a whole cluster run (tools/fsio_chaos.cc).
 //
 // Requirements on the caller: any subsequence of a failing sequence must
 // still be executable (ops reference targets modulo live pools, or disabled

@@ -1,7 +1,5 @@
 #include "src/simcore/event_queue.h"
 
-#ifndef FSIO_EVENTQ_REFERENCE
-
 #include <algorithm>
 
 namespace fsio {
@@ -235,5 +233,3 @@ std::uint64_t EventQueue::RunAll() {
 }
 
 }  // namespace fsio
-
-#endif  // FSIO_EVENTQ_REFERENCE

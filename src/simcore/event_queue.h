@@ -29,21 +29,11 @@
 //     traffic that dominates simulation runs, instead of O(log n) moves of
 //     fat std::function nodes.
 //
-// Building with -DFSIO_EVENTQ_REFERENCE swaps in the original
-// priority_queue implementation (reference_event_queue.h) for differential
-// cross-checks of whole benches.
+// The original priority_queue implementation survives as
+// ReferenceEventQueue (reference_event_queue.h), the behavioural oracle of
+// tests/eventcore_test.cc and the baseline of bench/micro_eventcore.
 #ifndef FASTSAFE_SRC_SIMCORE_EVENT_QUEUE_H_
 #define FASTSAFE_SRC_SIMCORE_EVENT_QUEUE_H_
-
-#ifdef FSIO_EVENTQ_REFERENCE
-
-#include "src/simcore/reference_event_queue.h"
-
-namespace fsio {
-using EventQueue = ReferenceEventQueue;
-}  // namespace fsio
-
-#else  // FSIO_EVENTQ_REFERENCE
 
 #include <cstddef>
 #include <cstdint>
@@ -259,7 +249,5 @@ class EventQueue {
 };
 
 }  // namespace fsio
-
-#endif  // FSIO_EVENTQ_REFERENCE
 
 #endif  // FASTSAFE_SRC_SIMCORE_EVENT_QUEUE_H_

@@ -6,9 +6,7 @@
 //   * tests/eventcore_test.cc runs randomized differential schedules against
 //     this class and asserts execution order, clocks and counts match the
 //     calendar queue exactly;
-//   * building with -DFSIO_EVENTQ_REFERENCE aliases EventQueue to this class
-//     (see event_queue.h), so the whole simulator — including the golden
-//     benches — can be cross-checked against the pre-refactor scheduler.
+//   * bench/micro_eventcore times it next to the calendar queue.
 //
 // Apart from the ScheduleAfter saturation fix (shared with EventQueue so the
 // two stay comparable) this file must not be "improved": its value is being
@@ -34,11 +32,6 @@ namespace fsio {
 class ReferenceEventQueue {
  public:
   using Callback = std::function<void()>;
-
-  // API parity with the calendar EventQueue (call sites static_assert their
-  // hot closures against this bound); the reference queue itself has no
-  // inline-payload limit — std::function takes any size.
-  static constexpr std::size_t kInlinePayloadBytes = 144;
 
   ReferenceEventQueue() = default;
   ReferenceEventQueue(const ReferenceEventQueue&) = delete;
@@ -78,13 +71,8 @@ class ReferenceEventQueue {
   // Total number of events executed over the queue's lifetime.
   std::uint64_t executed() const { return executed_; }
 
-  // API parity with the calendar EventQueue so FSIO_EVENTQ_REFERENCE builds
-  // compile unchanged. The reference queue allocates per event via
-  // std::function and does not track it: allocations() always reads 0 and
-  // Reserve() is a no-op.
-  std::uint64_t allocations() const { return 0; }
+  // No-op, so bench/micro_eventcore's drivers template over both queues.
   void Reserve(std::size_t /*events*/) {}
-  std::size_t arena_capacity() const { return 0; }
 
  private:
   struct Event {

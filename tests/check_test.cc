@@ -61,7 +61,7 @@ bool BugApplies(InjectedBug bug, ProtectionMode mode) {
 // Clean sweeps.
 
 TEST(ModelCheckTest, EveryModeCleanAtDefaultBound) {
-  for (ProtectionMode mode : test::kAllModes) {
+  for (ProtectionMode mode : kAllModes) {
     const CheckConfig config = MakeConfig(mode, InjectedBug::kNone, 1, 10);
     const CheckOutcome outcome = RunModelCheck(config);
     EXPECT_EQ(outcome.violation, ModelViolation::kNone)
@@ -73,7 +73,7 @@ TEST(ModelCheckTest, EveryModeCleanAtDefaultBound) {
 }
 
 TEST(ModelCheckTest, EveryModeCleanWithTwoDomains) {
-  for (ProtectionMode mode : test::kAllModes) {
+  for (ProtectionMode mode : kAllModes) {
     const CheckConfig config = MakeConfig(mode, InjectedBug::kNone, 2, 8);
     const CheckOutcome outcome = RunModelCheck(config);
     EXPECT_EQ(outcome.violation, ModelViolation::kNone)
@@ -180,7 +180,7 @@ TEST(ModelCheckPorTest, VerdictMatchesFullSearchAcrossGrid) {
       InjectedBug::kSkipInvalidation, InjectedBug::kEarlyReclaim,
       InjectedBug::kUntaggedIotlb, InjectedBug::kSkipCapabilityCheck,
   };
-  for (ProtectionMode mode : test::kAllModes) {
+  for (ProtectionMode mode : kAllModes) {
     for (InjectedBug bug : kBugs) {
       if (bug != InjectedBug::kNone && !BugApplies(bug, mode)) {
         continue;

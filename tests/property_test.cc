@@ -100,7 +100,7 @@ TEST_P(ModeProperty, FiniteTransferCompletes) {
       << ProtectionModeName(GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModes, ModeProperty, ::testing::ValuesIn(test::kAllModes),
+INSTANTIATE_TEST_SUITE_P(AllModes, ModeProperty, ::testing::ValuesIn(kAllModes),
                          test::ModeParamName);
 
 // Driver-level property: random map/unmap traffic leaves no leaked page

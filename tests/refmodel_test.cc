@@ -11,12 +11,15 @@
 //   * Oracle power — each injected driver bug is detected, shrinks to a
 //     replayable repro of at most 20 operations, and the serialized repro
 //     survives a Parse round-trip that still diverges.
+//   * Fault plans — same-seed runs are identical under every named plan
+//     (the fault matrix itself runs via fsio_diff --fault-plan all).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/faults/fault_plans.h"
 #include "src/refmodel/diff_harness.h"
 #include "src/refmodel/ref_model.h"
 #include "src/refmodel/shrink.h"
@@ -160,7 +163,7 @@ TEST_P(DiffMatrixTest, RealStackAgreesWithModel) {
 
 std::vector<MatrixParam> AllMatrixParams() {
   std::vector<MatrixParam> params;
-  for (ProtectionMode mode : test::kAllModes) {
+  for (ProtectionMode mode : kAllModes) {
     params.push_back({mode, true});
     params.push_back({mode, false});
   }
@@ -207,6 +210,26 @@ TEST(DiffHarnessTest, GenerateOpsIsDeterministic) {
     any_different = a[i].arg != c[i].arg;
   }
   EXPECT_TRUE(any_different);
+}
+
+// Same seed, same plan, same everything: two in-process runs agree on every
+// DiffResult field (defaulted operator==), under every named fault plan.
+TEST(DiffHarnessTest, SameSeedRunsAreIdenticalUnderEveryFaultPlan) {
+  for (const FaultPlan& plan : NamedFaultPlans(0)) {
+    for (ProtectionMode mode : kAllModes) {
+      DiffConfig config;
+      config.mode = mode;
+      config.seed = 7;
+      config.num_ops = 600;
+      config.fault_plan = plan.name;
+      const std::vector<DiffOp> ops = DifferentialHarness::GenerateOps(config);
+      const DiffResult first = DifferentialHarness::Run(config, ops);
+      const DiffResult second = DifferentialHarness::Run(config, ops);
+      EXPECT_FALSE(first.diverged) << plan.name << " / " << ModeToken(mode) << ": "
+                                   << first.message;
+      EXPECT_TRUE(first == second) << plan.name << " / " << ModeToken(mode);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -286,6 +309,7 @@ TEST(ReproFormatTest, RoundTripPreservesEverything) {
   config.pages_per_chunk = 32;
   config.num_cores = 2;
   config.bug = InjectedBug::kSkipInvalidation;
+  config.fault_plan = "completion-chaos";
   std::vector<DiffOp> ops = {{OpKind::kMapRx, 0, 7}, {OpKind::kDmaLive, 1, 123456789},
                              {OpKind::kUnmap, 1, 42}, {OpKind::kDmaRetired, 0, 5}};
   const std::string text = DifferentialHarness::Serialize(config, ops);
@@ -299,12 +323,24 @@ TEST(ReproFormatTest, RoundTripPreservesEverything) {
   EXPECT_EQ(parsed.pages_per_chunk, config.pages_per_chunk);
   EXPECT_EQ(parsed.num_cores, config.num_cores);
   EXPECT_EQ(parsed.bug, config.bug);
+  EXPECT_EQ(parsed.fault_plan, config.fault_plan);
   ASSERT_EQ(parsed_ops.size(), ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     EXPECT_EQ(parsed_ops[i].kind, ops[i].kind);
     EXPECT_EQ(parsed_ops[i].core, ops[i].core);
     EXPECT_EQ(parsed_ops[i].arg, ops[i].arg);
   }
+}
+
+// Fault-free repros carry no fault_plan line, so they stay byte-identical
+// to the format written before fault plans existed.
+TEST(ReproFormatTest, BaselineReproHasNoFaultPlanLine) {
+  DiffConfig config;
+  const std::string text = DifferentialHarness::Serialize(config, {{OpKind::kMapRx, 0, 1}});
+  EXPECT_EQ(text.find("fault_plan"), std::string::npos) << text;
+  config.fault_plan = "delayed-flush";
+  EXPECT_NE(DifferentialHarness::Serialize(config, {}).find("fault_plan delayed-flush\n"),
+            std::string::npos);
 }
 
 TEST(ReproFormatTest, RejectsMalformedInput) {
@@ -321,6 +357,9 @@ TEST(ReproFormatTest, RejectsMalformedInput) {
       "fsio-diff-repro v1\nops 0\n", &config, &ops, &error));  // missing end
   EXPECT_FALSE(DifferentialHarness::Parse(
       "fsio-diff-repro v1\nop 9 0 1\nops 1\nend\n", &config, &ops, &error));
+  EXPECT_FALSE(DifferentialHarness::Parse(
+      "fsio-diff-repro v1\nfault_plan use-after-release\nops 0\nend\n", &config, &ops,
+      &error));
 }
 
 // ---------------------------------------------------------------------------

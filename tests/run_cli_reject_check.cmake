@@ -1,24 +1,26 @@
-# Runs fsio_sim with one bad --iotlb-entries value on both the cluster path
-# and the tenant path, and fails unless each run exits 2 with a diagnostic
-# naming the flag (a bad value must never run with a silently adjusted
-# geometry). Invoked by ctest as
-#   cmake -DSIM=<path-to-fsio_sim> -DVALUE=<entries> -P run_cli_reject_check.cmake
-if(NOT DEFINED SIM OR NOT DEFINED VALUE)
-  message(FATAL_ERROR "usage: cmake -DSIM=... -DVALUE=... -P run_cli_reject_check.cmake")
+# Runs TOOL once per argument list in ARGS ('|' separates invocations,
+# spaces separate arguments) and fails unless every run exits 2 with a
+# stderr diagnostic naming FLAG: a bad value must never run with a silently
+# substituted one. Each run is killed after 20 s, so a regression to a
+# wrapped-around count fails fast instead of running away. Invoked by ctest
+# as
+#   cmake -DTOOL=<tool> "-DARGS=<args>[|<args>...]" -DFLAG=<flag>
+#         -P run_cli_reject_check.cmake
+if(NOT DEFINED TOOL OR NOT DEFINED ARGS OR NOT DEFINED FLAG)
+  message(FATAL_ERROR
+          "usage: cmake -DTOOL=... -DARGS=... -DFLAG=... -P run_cli_reject_check.cmake")
 endif()
 
-foreach(path cluster tenant)
-  if(path STREQUAL "cluster")
-    set(args --warmup-ms=1 --window-ms=1)
-  else()
-    set(args --tenants=2 --tenant-rounds=1)
-  endif()
-  execute_process(COMMAND ${SIM} ${args} --iotlb-entries=${VALUE}
+string(REPLACE "|" ";" runs "${ARGS}")
+foreach(run IN LISTS runs)
+  separate_arguments(argv UNIX_COMMAND "${run}")
+  execute_process(COMMAND ${TOOL} ${argv} TIMEOUT 20
                   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 2)
-    message(FATAL_ERROR "${path} path: --iotlb-entries=${VALUE} exited ${rc}, want 2:\n${out}${err}")
+  if(NOT rc STREQUAL "2")
+    message(FATAL_ERROR "'${run}' exited '${rc}', want 2:\n${out}${err}")
   endif()
-  if(NOT err MATCHES "--iotlb-entries")
-    message(FATAL_ERROR "${path} path: no --iotlb-entries diagnostic on stderr:\n${err}")
+  string(FIND "${err}" "${FLAG}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "'${run}': no diagnostic naming ${FLAG} on stderr:\n${err}")
   endif()
 endforeach()

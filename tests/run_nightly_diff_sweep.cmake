@@ -20,3 +20,14 @@ execute_process(COMMAND ${DIFF} --seeds 32 --ops 1000 --pages-per-chunk 512 --qu
 if(NOT huge_result EQUAL 0)
   message(FATAL_ERROR "nightly hugepage differential sweep diverged (exit ${huge_result})")
 endif()
+
+# Fault matrix at depth: every mode under every fault plan, single- and
+# two-domain, with many more seeds than the tier-1 fault_matrix test.
+execute_process(COMMAND ${DIFF} --fault-plan all --seeds 32 --ops 2000 --quiet
+                RESULT_VARIABLE fault_result)
+execute_process(COMMAND ${DIFF} --fault-plan all --seeds 8 --ops 2000 --domains 2 --quiet
+                RESULT_VARIABLE fault_domains_result)
+if(NOT fault_result EQUAL 0 OR NOT fault_domains_result EQUAL 0)
+  message(FATAL_ERROR "nightly fault matrix failed (exit ${fault_result}, "
+                      "${fault_domains_result} with 2 domains)")
+endif()

@@ -24,22 +24,25 @@
 // --break-recovery runs a single deliberately broken cell (recovery skips
 // the global IOTLB invalidation) and demonstrates the cross-host oracle
 // catching it; with --expect-violation the harness then SHRINKS the fault
-// event list to a minimal still-failing repro (greedy one-event-at-a-time
-// removal) and, with --repro-out, writes a replayable text repro that
-// --replay re-executes byte-deterministically.
+// event list to a minimal still-failing repro (the shared ShrinkSequence of
+// src/refmodel/shrink.h) and, with --repro-out, writes a replayable text
+// repro that --replay re-executes byte-deterministically.
 //
 // All randomness flows from --seed; cells are independent simulations run on
 // the SweepRunner pool with slot-per-cell reports emitted in cell order, so
 // output is byte-identical across reruns and across --jobs values (checked
 // by ctest and by --selftest-determinism).
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -49,9 +52,11 @@
 #include "src/faults/fault_injector.h"
 #include "src/faults/invariant_registry.h"
 #include "src/faults/safety_oracle.h"
+#include "src/refmodel/shrink.h"
 #include "src/simcore/time.h"
 #include "src/tenant/domain.h"
 #include "src/tenant/tenant_system.h"
+#include "tools/cli.h"
 
 namespace fsio {
 namespace {
@@ -68,42 +73,14 @@ struct ChaosOptions {
   std::string replay;
 };
 
-// Stable CLI/repro keys for protection modes (ProtectionModeName() is a
-// human-facing label with spaces; repro files need single tokens).
-struct ModeEntry {
-  ProtectionMode mode;
-  const char* key;
-};
-constexpr ModeEntry kModes[] = {
-    {ProtectionMode::kOff, "off"},
-    {ProtectionMode::kStrict, "strict"},
-    {ProtectionMode::kDeferred, "deferred"},
-    {ProtectionMode::kStrictPreserve, "strict-preserve"},
-    {ProtectionMode::kStrictContig, "strict-contig"},
-    {ProtectionMode::kFastSafe, "fastsafe"},
-    {ProtectionMode::kHugepagePersistent, "hugepage-persistent"},
-    {ProtectionMode::kCapability, "capability"},
-};
-constexpr std::size_t kNumModes = sizeof(kModes) / sizeof(kModes[0]);
+constexpr std::size_t kNumModes = std::size(kAllModes);
 
-const char* ModeKey(ProtectionMode mode) {
-  for (const ModeEntry& e : kModes) {
-    if (e.mode == mode) {
-      return e.key;
-    }
-  }
-  return "?";
-}
-
-bool ModeFromKey(const std::string& key, ProtectionMode* out) {
-  for (const ModeEntry& e : kModes) {
-    if (key == e.key) {
-      *out = e.mode;
-      return true;
-    }
-  }
-  return false;
-}
+// The chaos cluster's fixed shape (see RunCell): repro events may only
+// name hosts and switches that exist.
+constexpr std::uint32_t kChaosHosts = 4;
+constexpr std::uint32_t kChaosSwitches = 2;
+// Longest accepted base window W (simulated). The matrix runs ~W per cell.
+constexpr TimeNs kMaxWindowNs = 10 * kNsPerSec;
 
 // One scenario: a named fault-event list plus the expectations it must meet
 // in every protection mode.
@@ -289,8 +266,8 @@ void AppendTrace(std::ostringstream* os, const std::string& trace, std::size_t l
 CellResult RunCell(ProtectionMode mode, const Scenario& scenario, const ChaosOptions& opt,
                    bool broken, const std::atomic<bool>& cancel) {
   ClusterConfig config;
-  config.num_hosts = 4;
-  config.num_switches = 2;
+  config.num_hosts = kChaosHosts;
+  config.num_switches = kChaosSwitches;
   config.cores = 2;
   config.ring_size_pkts = 128;
   config.mode = mode;
@@ -330,7 +307,7 @@ CellResult RunCell(ProtectionMode mode, const Scenario& scenario, const ChaosOpt
   for (int slice = 1; slice <= kSlices; ++slice) {
     if (cancel.load(std::memory_order_relaxed)) {
       r.cancelled = true;
-      r.report = "=== scenario=" + scenario.name + " mode=" + ModeKey(mode) +
+      r.report = "=== scenario=" + scenario.name + " mode=" + ModeToken(mode) +
                  " ===\nTIMED OUT (partial cell dropped)\n";
       return r;
     }
@@ -373,7 +350,7 @@ CellResult RunCell(ProtectionMode mode, const Scenario& scenario, const ChaosOpt
   }
 
   std::ostringstream os;
-  os << "=== scenario=" << scenario.name << " mode=" << ModeKey(mode)
+  os << "=== scenario=" << scenario.name << " mode=" << ModeToken(mode)
      << (broken ? " broken-recovery" : "") << " ===\n";
   os << "violations=" << r.violations << " reclaimed_frame=" << r.reclaimed_frame
      << " stale_translation=" << r.stale_translation
@@ -409,7 +386,7 @@ int RunSuite(const ChaosOptions& opt, std::string* output) {
       n,
       [&](std::size_t i, const std::atomic<bool>& cancel) {
         const Scenario& scenario = scenarios[i / kNumModes];
-        const ProtectionMode mode = kModes[i % kNumModes].mode;
+        const ProtectionMode mode = kAllModes[i % kNumModes];
         cells[i] = RunCell(mode, scenario, opt, /*broken=*/false, cancel);
       },
       SweepRunner::DefaultDeadlineMs());
@@ -427,7 +404,7 @@ int RunSuite(const ChaosOptions& opt, std::string* output) {
     const Scenario& scenario = scenarios[i / kNumModes];
     const CellResult& r = cells[i];
     all << r.report;
-    const std::string tag = scenario.name + " / " + kModes[i % kNumModes].key;
+    const std::string tag = scenario.name + " / " + ModeToken(kAllModes[i % kNumModes]);
     if (r.cancelled) {
       expect(false, tag + ": cell hit the sweep deadline");
       continue;
@@ -480,7 +457,7 @@ int RunSuite(const ChaosOptions& opt, std::string* output) {
 //     co-tenant's resident entries are counted before and after;
 //   * the recovered tenant resumes, and the safety oracles of both domains
 //     end at zero violations, including zero dma_cross_domain_hit.
-int RunTenantCrash(const ChaosOptions& opt, std::string* output) {
+int RunTenantCrash(std::string* output) {
   std::ostringstream all;
   int failures = 0;
   auto expect = [&](bool ok, const std::string& what) {
@@ -490,16 +467,16 @@ int RunTenantCrash(const ChaosOptions& opt, std::string* output) {
     }
   };
 
-  for (const ModeEntry& entry : kModes) {
-    const std::string tag = std::string("tenant-crash / ") + entry.key;
+  for (const ProtectionMode mode : kAllModes) {
+    const std::string tag = std::string("tenant-crash / ") + ModeToken(mode);
     TenantSystemConfig config;
     TenantConfig victim;
-    victim.mode = entry.mode;
+    victim.mode = mode;
     victim.latency_critical = true;
     victim.weight = 1;
     config.tenants.push_back(victim);
     TenantConfig co;
-    co.mode = entry.mode;
+    co.mode = mode;
     co.latency_critical = true;  // closed-loop, so `ops` measures progress
     co.weight = 2;
     config.tenants.push_back(co);
@@ -522,8 +499,8 @@ int RunTenantCrash(const ChaosOptions& opt, std::string* output) {
     const DomainId co_id = system.domain(1).id();
     // Capability mode never populates the IOMMU (pass-through); device
     // visibility is judged by the capability check instead of Translate.
-    const bool cap = entry.mode == ProtectionMode::kCapability;
-    if (entry.mode != ProtectionMode::kOff) {
+    const bool cap = mode == ProtectionMode::kCapability;
+    if (mode != ProtectionMode::kOff) {
       expect(!stranded.empty(), tag + ": crash strands an in-flight descriptor");
     }
     if (!stranded.empty()) {
@@ -578,7 +555,7 @@ int RunTenantCrash(const ChaosOptions& opt, std::string* output) {
     expect(system.stats().Value("iommu.cross_domain_hits") == 0,
            tag + ": IOMMU-wide cross-domain hit counter stays zero");
 
-    all << "=== scenario=tenant-crash mode=" << entry.key << " ===\n";
+    all << "=== scenario=tenant-crash mode=" << ModeToken(mode) << " ===\n";
     all << "victim_ops=" << victim_final.ops << " co_ops=" << co_final.ops
         << " stranded=" << stranded.size()
         << " co_resident=" << co_resident_before
@@ -612,7 +589,7 @@ std::string FormatRepro(const ChaosOptions& opt, ProtectionMode mode,
   os << "# fsio_chaos repro: broken recovery (skipped global invalidation)\n";
   os << "seed=" << opt.seed << "\n";
   os << "window=" << opt.window << "\n";
-  os << "mode=" << ModeKey(mode) << "\n";
+  os << "mode=" << ModeToken(mode) << "\n";
   os << "break-recovery=1\n";
   for (const ClusterFaultEvent& e : events) {
     os << "event " << e.ToString() << "\n";
@@ -620,6 +597,8 @@ std::string FormatRepro(const ChaosOptions& opt, ProtectionMode mode,
   return os.str();
 }
 
+// Repro numbers go through the same checked parse as flags (tools/cli.h): a
+// malformed or out-of-range value is a diagnostic naming the key and exit 2.
 bool ParseReproLine(const std::string& line, ClusterFaultEvent* e) {
   std::istringstream is(line);
   std::string kind_name;
@@ -635,17 +614,24 @@ bool ParseReproLine(const std::string& line, ClusterFaultEvent* e) {
     const std::string key = field.substr(0, eq);
     const std::string value = field.substr(eq + 1);
     if (key == "at") {
-      e->at = std::strtoull(value.c_str(), nullptr, 10);
+      e->at = cli::ParseUint<TimeNs>("fsio_chaos", key, value);
     } else if (key == "dur") {
-      e->duration_ns = std::strtoull(value.c_str(), nullptr, 10);
+      e->duration_ns = cli::ParseUint<TimeNs>("fsio_chaos", key, value);
     } else if (key == "switch") {
-      e->switch_id = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      e->switch_id =
+          cli::ParseUint<std::uint32_t>("fsio_chaos", key, value, 0, kChaosSwitches - 1);
     } else if (key == "host") {
-      e->host = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      e->host = cli::ParseUint<std::uint32_t>("fsio_chaos", key, value, 0, kChaosHosts - 1);
     } else if (key == "any_port") {
-      e->any_port = value == "1";
+      e->any_port = cli::ParseUint<unsigned>("fsio_chaos", key, value, 0, 1) == 1;
     } else if (key == "p") {
-      e->probability = std::strtod(value.c_str(), nullptr);
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, e->probability);
+      if (ec != std::errc() || ptr != end || !(e->probability >= 0.0 && e->probability <= 1.0)) {
+        std::fprintf(stderr, "fsio_chaos: p expects a probability in [0, 1], got '%s'\n",
+                     value.c_str());
+        std::exit(2);
+      }
     } else {
       return false;
     }
@@ -682,16 +668,16 @@ bool ParseRepro(const std::string& path, ChaosOptions* opt, ProtectionMode* mode
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
     if (key == "seed") {
-      opt->seed = std::strtoull(value.c_str(), nullptr, 10);
+      opt->seed = cli::ParseUint<std::uint64_t>("fsio_chaos", key, value);
     } else if (key == "window") {
-      opt->window = std::strtoull(value.c_str(), nullptr, 10);
+      opt->window = cli::ParseUint<TimeNs>("fsio_chaos", key, value, 1, kMaxWindowNs);
     } else if (key == "mode") {
-      if (!ModeFromKey(value, mode)) {
+      if (!ParseModeToken(value, mode)) {
         std::fprintf(stderr, "fsio_chaos: unknown mode %s\n", value.c_str());
         return false;
       }
     } else if (key == "break-recovery") {
-      opt->break_recovery = value == "1";
+      opt->break_recovery = cli::ParseUint<unsigned>("fsio_chaos", key, value, 0, 1) == 1;
     } else {
       std::fprintf(stderr, "fsio_chaos: unknown repro key %s\n", key.c_str());
       return false;
@@ -718,34 +704,12 @@ CellResult RunBrokenCell(const std::vector<ClusterFaultEvent>& events, Protectio
   return RunCell(mode, s, opt, opt.break_recovery, kNeverCancelled);
 }
 
-// Greedy event-list shrink: repeatedly drop any single event whose removal
-// keeps the oracle violating, until no event can be removed. Deterministic
-// (fixed scan order) and quadratic in the (small) event count.
-std::vector<ClusterFaultEvent> ShrinkEvents(std::vector<ClusterFaultEvent> events,
-                                            ProtectionMode mode, const ChaosOptions& opt,
-                                            std::ostringstream* log) {
-  bool shrunk = true;
-  while (shrunk && events.size() > 1) {
-    shrunk = false;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      std::vector<ClusterFaultEvent> candidate = events;
-      candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-      const CellResult r = RunBrokenCell(candidate, mode, opt);
-      if (r.violations > 0) {
-        *log << "shrink: dropped [" << events[i].ToString() << "] — still violates ("
-             << r.violations << ")\n";
-        events = std::move(candidate);
-        shrunk = true;
-        break;
-      }
-      *log << "shrink: kept [" << events[i].ToString() << "] — needed for repro\n";
-    }
-  }
-  return events;
-}
-
 // The --break-recovery entry point: crash host 0 with recovery that skips
-// the global invalidation, plus two noise events the shrinker must discard.
+// the global invalidation, plus two noise events. The shrinker drops the
+// loss burst but, at seed 1, keeps the link flap: a replay of the crash
+// alone records no violation, so the oracle only catches this broken
+// recovery when the flap also perturbs the incast (a detection gap of the
+// scenario, not a shrinker fault).
 int RunBrokenRecovery(const ChaosOptions& opt, std::string* output) {
   const TimeNs w = opt.window;
   const ProtectionMode mode = ProtectionMode::kFastSafe;
@@ -783,14 +747,21 @@ int RunBrokenRecovery(const ChaosOptions& opt, std::string* output) {
       all << "EXPECTATION FAILED: broken recovery must be caught by the oracle\n";
       ++failures;
     } else {
-      const std::vector<ClusterFaultEvent> minimal = ShrinkEvents(events, mode, opt, &all);
+      // Any event subsequence replays, so the shared sequence shrinker
+      // applies; the failure is only observable at the end of the run.
+      const ShrunkSequence<ClusterFaultEvent, CellResult> shrunk = ShrinkSequence(
+          events, events.size() - 1, full,
+          [&](const std::vector<ClusterFaultEvent>& candidate) {
+            return RunBrokenCell(candidate, mode, opt);
+          },
+          [](const CellResult& r) { return r.violations > 0; });
+      const std::vector<ClusterFaultEvent>& minimal = shrunk.ops;
       all << "minimal repro (" << minimal.size() << " of " << events.size()
-          << " events):\n";
+          << " events, " << shrunk.runs << " shrink runs):\n";
       for (const ClusterFaultEvent& e : minimal) {
         all << "  event " << e.ToString() << "\n";
       }
-      const CellResult check = RunBrokenCell(minimal, mode, opt);
-      if (check.violations == 0) {
+      if (shrunk.result.violations == 0) {
         all << "EXPECTATION FAILED: shrunken repro no longer violates\n";
         ++failures;
       }
@@ -819,7 +790,7 @@ int RunReplay(const std::string& path, ChaosOptions opt, std::string* output) {
     return 1;
   }
   std::ostringstream all;
-  all << "replaying " << events.size() << " event(s), mode=" << ModeKey(mode)
+  all << "replaying " << events.size() << " event(s), mode=" << ModeToken(mode)
       << " seed=" << opt.seed << " window=" << opt.window
       << " break-recovery=" << (opt.break_recovery ? 1 : 0) << "\n";
   const CellResult r = RunBrokenCell(events, mode, opt);
@@ -836,12 +807,13 @@ int Main(int argc, char** argv) {
   ChaosOptions opt;
   bool selftest = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--window") == 0 && i + 1 < argc) {
-      opt.window = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      opt.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--window") == 0 && i + 1 < argc) {
+      opt.window = cli::ParseUint<TimeNs>("fsio_chaos", flag, argv[++i], 1, kMaxWindowNs);
+    } else if (std::strcmp(flag, "--seed") == 0 && i + 1 < argc) {
+      opt.seed = cli::ParseUint<std::uint64_t>("fsio_chaos", flag, argv[++i]);
+    } else if (std::strcmp(flag, "--jobs") == 0 && i + 1 < argc) {
+      opt.jobs = cli::ParseUint<unsigned>("fsio_chaos", flag, argv[++i]);
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
       opt.verbose = true;
     } else if (std::strcmp(argv[i], "--break-recovery") == 0) {
@@ -871,7 +843,7 @@ int Main(int argc, char** argv) {
   if (!opt.replay.empty()) {
     failures = RunReplay(opt.replay, opt, &output);
   } else if (opt.tenant_crash) {
-    failures = RunTenantCrash(opt, &output);
+    failures = RunTenantCrash(&output);
   } else if (opt.break_recovery) {
     failures = RunBrokenRecovery(opt, &output);
   } else {

@@ -15,20 +15,30 @@
 //                              --max-repro-ops, and the serialized repro
 //                              must replay (Serialize -> Parse -> Run still
 //                              diverges). Exit 0 only when all of that holds.
+//   * --fault-plan NAME|all  — the same lockstep under injected environment
+//                              faults (src/faults/fault_plans.h). Every cell
+//                              must still agree with the model, and each
+//                              (mode, plan) pair must meet its expectation
+//                              row (see CheckFaultCell). Exit 0 only when
+//                              every row holds.
 //   * --replay FILE          — re-runs a previously written repro file and
 //                              reports whether the divergence reproduces.
 //
 // Output is deterministic for fixed arguments.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/driver/protection.h"
+#include "src/faults/fault_plans.h"
 #include "src/refmodel/diff_harness.h"
+#include "tools/cli.h"
 
 namespace fsio {
 namespace {
@@ -37,8 +47,9 @@ struct Options {
   std::uint64_t seeds = 8;
   std::uint64_t seed_base = 1;
   std::uint32_t ops = 1500;
-  std::string mode = "all";      // "all" or one mode token
-  std::string rcache = "both";   // "both" | "on" | "off"
+  std::vector<ProtectionMode> modes{std::begin(kAllModes), std::end(kAllModes)};
+  std::vector<bool> rcaches{true, false};  // --rcache both | on | off
+  std::string fault_plan;        // empty: fault-free sweep; else a plan name or "all"
   std::uint32_t pages_per_chunk = 64;
   std::uint32_t num_cores = 4;
   std::uint32_t domains = 1;
@@ -65,6 +76,10 @@ void Usage() {
                "  --num-cores N         driver cores (default 4)\n"
                "  --domains N           protection domains sharing the IOMMU (default 1;\n"
                "                        >=2 checks per-tenant semantics + isolation)\n"
+               "  --fault-plan NAME|all run under injected faults and check each (mode,\n"
+               "                        plan) expectation row (baseline inv-stall-drop\n"
+               "                        walker-backpressure alloc-pressure\n"
+               "                        completion-chaos delayed-flush)\n"
                "  --bug TOKEN           inject a driver/hardware bug (none use-after-unmap\n"
                "                        skip-invalidation early-reclaim untagged-iotlb\n"
                "                        skip-capability-check)\n"
@@ -77,26 +92,39 @@ void Usage() {
 
 bool ParseArgs(int argc, char** argv, Options* opt) {
   auto need = [&](int i) { return i + 1 < argc; };
+  auto count = [&](int* i, std::uint64_t min, std::uint64_t max) {
+    const char* flag = argv[*i];
+    return cli::ParseUint<std::uint64_t>("fsio_diff", flag, argv[++*i], min, max);
+  };
+  constexpr std::uint64_t kU32 = 0xffffffffULL;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--seeds" && need(i)) {
-      opt->seeds = std::strtoull(argv[++i], nullptr, 10);
+      opt->seeds = count(&i, 1, ~0ULL);
     } else if (a == "--seed-base" && need(i)) {
-      opt->seed_base = std::strtoull(argv[++i], nullptr, 10);
+      opt->seed_base = count(&i, 0, ~0ULL);
     } else if (a == "--ops" && need(i)) {
-      opt->ops = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      opt->ops = static_cast<std::uint32_t>(count(&i, 1, kU32));
     } else if (a == "--mode" && need(i)) {
-      opt->mode = argv[++i];
+      opt->modes = cli::ParseModes("fsio_diff", "--mode", argv[++i]);
     } else if (a == "--rcache" && need(i)) {
-      opt->rcache = argv[++i];
+      const std::string v = argv[++i];
+      if (v != "both" && v != "on" && v != "off") {
+        std::fprintf(stderr, "fsio_diff: --rcache must be both|on|off\n");
+        return false;
+      }
+      opt->rcaches = v == "both" ? std::vector<bool>{true, false} : std::vector<bool>{v == "on"};
     } else if (a == "--pages-per-chunk" && need(i)) {
-      opt->pages_per_chunk = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      opt->pages_per_chunk = static_cast<std::uint32_t>(count(&i, 1, kU32));
     } else if (a == "--num-cores" && need(i)) {
-      opt->num_cores = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      opt->num_cores = static_cast<std::uint32_t>(count(&i, 1, kU32));
     } else if (a == "--domains" && need(i)) {
-      opt->domains = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (opt->domains == 0) {
-        std::fprintf(stderr, "fsio_diff: --domains must be positive\n");
+      opt->domains = static_cast<std::uint32_t>(count(&i, 1, kU32));
+    } else if (a == "--fault-plan" && need(i)) {
+      opt->fault_plan = argv[++i];
+      FaultPlan plan;
+      if (opt->fault_plan != "all" && !FindFaultPlan(opt->fault_plan, 0, &plan)) {
+        std::fprintf(stderr, "fsio_diff: unknown fault plan '%s'\n", argv[i]);
         return false;
       }
     } else if (a == "--bug" && need(i)) {
@@ -107,7 +135,7 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     } else if (a == "--expect-divergence") {
       opt->expect_divergence = true;
     } else if (a == "--max-repro-ops" && need(i)) {
-      opt->max_repro_ops = std::strtoull(argv[++i], nullptr, 10);
+      opt->max_repro_ops = count(&i, 0, ~0ULL);
     } else if (a == "--repro-out" && need(i)) {
       opt->repro_out = argv[++i];
     } else if (a == "--replay" && need(i)) {
@@ -126,48 +154,15 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
   return true;
 }
 
-std::vector<ProtectionMode> ModesFor(const Options& opt, bool* ok) {
-  *ok = true;
-  if (opt.mode == "all") {
-    return {ProtectionMode::kOff,           ProtectionMode::kStrict,
-            ProtectionMode::kDeferred,      ProtectionMode::kStrictPreserve,
-            ProtectionMode::kStrictContig,  ProtectionMode::kFastSafe,
-            ProtectionMode::kHugepagePersistent, ProtectionMode::kCapability};
-  }
-  ProtectionMode m;
-  if (!ParseModeToken(opt.mode, &m)) {
-    std::fprintf(stderr, "fsio_diff: unknown mode token '%s'\n", opt.mode.c_str());
-    *ok = false;
-    return {};
-  }
-  return {m};
-}
-
-std::vector<bool> RcachesFor(const Options& opt, bool* ok) {
-  *ok = true;
-  if (opt.rcache == "both") {
-    return {true, false};
-  }
-  if (opt.rcache == "on") {
-    return {true};
-  }
-  if (opt.rcache == "off") {
-    return {false};
-  }
-  std::fprintf(stderr, "fsio_diff: --rcache must be both|on|off\n");
-  *ok = false;
-  return {};
-}
-
 // Shrinks, prints, and (optionally) writes the repro. Returns the shrink
 // outcome so callers can validate size and replayability.
 DifferentialHarness::ShrinkOutcome HandleDivergence(const Options& opt, const DiffConfig& config,
                                                     const std::vector<DiffOp>& ops,
                                                     const DiffResult& result) {
-  std::printf("DIVERGENCE mode=%s rcache=%d seed=%llu bug=%s at op %zu:\n  %s\n",
+  std::printf("DIVERGENCE mode=%s rcache=%d seed=%llu bug=%s plan=%s at op %zu:\n  %s\n",
               ModeToken(config.mode), config.enable_rcache ? 1 : 0,
               static_cast<unsigned long long>(config.seed), InjectedBugName(config.bug),
-              result.fail_index, result.message.c_str());
+              config.fault_plan.c_str(), result.fail_index, result.message.c_str());
   DifferentialHarness::ShrinkOutcome shrunk = DifferentialHarness::Shrink(config, ops, result);
   std::printf("shrunk to %zu ops in %u runs:\n", shrunk.ops.size(), shrunk.runs);
   for (const DiffOp& op : shrunk.ops) {
@@ -222,9 +217,167 @@ int Replay(const Options& opt) {
                 result.message.c_str());
     return 0;
   }
-  std::printf("replay: no divergence over %zu ops (mode=%s rcache=%d bug=%s)\n", ops.size(),
-              ModeToken(config.mode), config.enable_rcache ? 1 : 0, InjectedBugName(config.bug));
+  std::printf("replay: no divergence over %zu ops (mode=%s rcache=%d bug=%s plan=%s)\n",
+              ops.size(), ModeToken(config.mode), config.enable_rcache ? 1 : 0,
+              InjectedBugName(config.bug), config.fault_plan.c_str());
   return 1;
+}
+
+// Sums one run's outcome into a (mode, plan) cell or the grand total.
+void Accumulate(DiffResult* total, const DiffResult& r) {
+  total->ops_executed += r.ops_executed;
+  total->maps += r.maps;
+  total->unmaps += r.unmaps;
+  total->dmas += r.dmas;
+  total->faults += r.faults;
+  total->stale_uses += r.stale_uses;
+  total->violations += r.violations;
+  total->use_after_unmap += r.use_after_unmap;
+  total->check_failures += r.check_failures;
+  total->hard_failures += r.hard_failures;
+  total->inv_retries += r.inv_retries;
+  total->inv_fallbacks += r.inv_fallbacks;
+  total->double_unmaps += r.double_unmaps;
+  for (std::size_t k = 0; k < r.fired.size(); ++k) {
+    total->fired[k] += r.fired[k];
+  }
+}
+
+// True when a lockstep run in `mode` executes the hook that samples `kind`:
+// walks need the IOMMU datapath, range invalidations a strictly safe tearing
+// mode (deferred mode only issues global flushes, which stall but are never
+// dropped), IOVA allocations the IOMMU datapath too (iommu-off and
+// capability mode hand out physical addresses), and the completion
+// faults the unmap path persistent pools bypass. The harness has no root
+// complex, so root_complex_backpressure reaches no mode here
+// (RootComplexFaultTest.BackpressureBurstStallsAdmission covers that hook).
+bool ReachesHook(FaultKind kind, ProtectionMode mode) {
+  const bool tears_down = UsesIommu(mode) && mode != ProtectionMode::kHugepagePersistent;
+  switch (kind) {
+    case FaultKind::kInvalidationDrop:
+      return tears_down && mode != ProtectionMode::kDeferred;
+    case FaultKind::kInvalidationStall:
+      return tears_down;
+    case FaultKind::kWalkerLatencySpike:
+    case FaultKind::kIovaExhaustion:
+      return UsesIommu(mode);
+    case FaultKind::kFrameAllocFailure:
+      return true;
+    case FaultKind::kDescCompletionReorder:
+    case FaultKind::kDescCompletionDuplicate:
+      return mode != ProtectionMode::kHugepagePersistent;
+    case FaultKind::kDeferredFlushDelay:
+      return mode == ProtectionMode::kDeferred;
+    default:
+      return false;
+  }
+}
+
+std::uint64_t Fired(const DiffResult& cell, FaultKind kind) {
+  return cell.fired[static_cast<int>(kind)];
+}
+
+bool PlansDuplicates(const FaultPlan& plan) {
+  for (const FaultSpec& spec : plan.specs) {
+    if (spec.kind == FaultKind::kDescCompletionDuplicate) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The fault matrix's expectation table: each row names the (mode, plan)
+// cells it covers and what their summed runs must show. Every run of every
+// cell has already agreed with the model op by op; these rows add the
+// existence claims the model alone cannot make (a hazard is reachable, a
+// degradation path engages).
+struct ExpectationRow {
+  const char* what;
+  bool (*covers)(ProtectionMode mode, const FaultPlan& plan);
+  bool (*holds)(const DiffResult& cell);
+};
+
+constexpr ExpectationRow kFaultMatrix[] = {
+    {"strictly safe and iommu-off modes have 0 violations",
+     [](ProtectionMode m, const FaultPlan&) {
+       return IsStrictlySafe(m) || m == ProtectionMode::kOff;
+     },
+     [](const DiffResult& c) { return c.violations == 0; }},
+    {"structural invariants must hold", [](ProtectionMode, const FaultPlan&) { return true; },
+     [](const DiffResult& c) { return c.check_failures == 0; }},
+    {"deferred mode must violate under delayed flushes, only use-after-unmap",
+     [](ProtectionMode m, const FaultPlan& p) {
+       return m == ProtectionMode::kDeferred && p.name == "delayed-flush";
+     },
+     [](const DiffResult& c) { return c.violations > 0 && c.use_after_unmap == c.violations; }},
+    {"released persistent buffers must stay device-visible",
+     [](ProtectionMode m, const FaultPlan&) { return m == ProtectionMode::kHugepagePersistent; },
+     [](const DiffResult& c) { return c.violations > 0; }},
+    {"invalidation retry and global-flush fallback must engage",
+     [](ProtectionMode m, const FaultPlan& p) {
+       return p.name == "inv-stall-drop" &&
+              (m == ProtectionMode::kStrict || m == ProtectionMode::kFastSafe);
+     },
+     [](const DiffResult& c) { return c.inv_retries > 0 && c.inv_fallbacks > 0; }},
+    // iommu-off keeps no unmap bookkeeping, so it has nothing to detect with.
+    {"every duplicate completion must be detected as a double unmap",
+     [](ProtectionMode m, const FaultPlan& p) {
+       return PlansDuplicates(p) && ReachesHook(FaultKind::kDescCompletionDuplicate, m) &&
+              m != ProtectionMode::kOff;
+     },
+     [](const DiffResult& c) {
+       return c.double_unmaps >= Fired(c, FaultKind::kDescCompletionDuplicate);
+     }},
+    {"no hard failures without duplicate completions",
+     [](ProtectionMode, const FaultPlan& p) { return !PlansDuplicates(p); },
+     [](const DiffResult& c) { return c.hard_failures == 0; }},
+};
+
+// Judges one (mode, plan) cell against kFaultMatrix, plus the row that keeps
+// the others from passing vacuously: every planned fault kind fires in every
+// mode that reaches its hook. Prints the cell line and each failed
+// expectation; returns the failures.
+int CheckFaultCell(ProtectionMode mode, const FaultPlan& plan, const DiffResult& cell,
+                   bool quiet) {
+  int failures = 0;
+  auto expect = [&](bool ok, const std::string& what) {
+    if (!ok) {
+      ++failures;
+      std::printf("EXPECTATION FAILED: %s / %s: %s\n", ModeToken(mode), plan.name.c_str(),
+                  what.c_str());
+    }
+  };
+  for (const FaultSpec& spec : plan.specs) {
+    if (ReachesHook(spec.kind, mode)) {
+      expect(Fired(cell, spec.kind) > 0, std::string(FaultKindName(spec.kind)) + " must fire");
+    }
+  }
+  for (const ExpectationRow& row : kFaultMatrix) {
+    if (row.covers(mode, plan)) {
+      expect(row.holds(cell), row.what);
+    }
+  }
+  if (!quiet) {
+    std::printf("cell mode=%s plan=%s violations=%llu use_after_unmap=%llu "
+                "check_failures=%llu hard_failures=%llu double_unmap=%llu "
+                "inv_retries=%llu inv_fallbacks=%llu faults:",
+                ModeToken(mode), plan.name.c_str(),
+                static_cast<unsigned long long>(cell.violations),
+                static_cast<unsigned long long>(cell.use_after_unmap),
+                static_cast<unsigned long long>(cell.check_failures),
+                static_cast<unsigned long long>(cell.hard_failures),
+                static_cast<unsigned long long>(cell.double_unmaps),
+                static_cast<unsigned long long>(cell.inv_retries),
+                static_cast<unsigned long long>(cell.inv_fallbacks));
+    for (std::size_t k = 0; k < cell.fired.size(); ++k) {
+      if (cell.fired[k] != 0) {
+        std::printf(" %s=%llu", FaultKindName(static_cast<FaultKind>(k)),
+                    static_cast<unsigned long long>(cell.fired[k]));
+      }
+    }
+    std::printf("\n");
+  }
+  return failures;
 }
 
 int Main(int argc, char** argv) {
@@ -235,87 +388,95 @@ int Main(int argc, char** argv) {
   if (!opt.replay.empty()) {
     return Replay(opt);
   }
-  bool ok = true;
-  const std::vector<ProtectionMode> modes = ModesFor(opt, &ok);
-  if (!ok) {
-    return 2;
-  }
-  const std::vector<bool> rcaches = RcachesFor(opt, &ok);
-  if (!ok) {
-    return 2;
-  }
   if (opt.expect_divergence && opt.bug == InjectedBug::kNone) {
     std::fprintf(stderr, "fsio_diff: --expect-divergence requires --bug\n");
     return 2;
   }
+  // The fault matrix judges fault-free driver code; an injected bug would
+  // fail its expectation rows by design.
+  const bool matrix = !opt.fault_plan.empty();
+  if (matrix && opt.bug != InjectedBug::kNone) {
+    std::fprintf(stderr, "fsio_diff: --fault-plan cannot be combined with --bug\n");
+    return 2;
+  }
+  std::vector<FaultPlan> plans;
+  for (FaultPlan& plan : NamedFaultPlans(0)) {
+    const std::string& wanted = matrix ? opt.fault_plan : std::string(kBaselinePlan);
+    if (wanted == "all" || wanted == plan.name) {
+      plans.push_back(std::move(plan));
+    }
+  }
 
   std::uint64_t runs = 0;
   std::uint64_t diverged = 0;
-  std::uint64_t total_ops = 0;
-  std::uint64_t total_dmas = 0;
-  std::uint64_t total_faults = 0;
-  std::uint64_t total_stale = 0;
+  DiffResult total;
+  int failed_expectations = 0;
   bool self_test_ok = true;
   bool first_divergence_handled = false;
 
-  for (ProtectionMode mode : modes) {
-    for (bool rcache : rcaches) {
-      for (std::uint64_t s = 0; s < opt.seeds; ++s) {
-        DiffConfig config;
-        config.mode = mode;
-        config.enable_rcache = rcache;
-        config.seed = opt.seed_base + s;
-        config.num_ops = opt.ops;
-        config.pages_per_chunk = opt.pages_per_chunk;
-        config.num_cores = opt.num_cores;
-        config.num_domains = opt.domains;
-        config.bug = opt.bug;
-        const std::vector<DiffOp> ops = DifferentialHarness::GenerateOps(config);
-        const DiffResult result = DifferentialHarness::Run(config, ops);
-        ++runs;
-        total_ops += result.ops_executed;
-        total_dmas += result.dmas;
-        total_faults += result.faults;
-        total_stale += result.stale_uses;
-        if (result.diverged) {
-          ++diverged;
-          if (!opt.expect_divergence) {
-            DifferentialHarness::ShrinkOutcome shrunk =
-                HandleDivergence(opt, config, ops, result);
-            ReproRoundTrips(config, shrunk.ops);
-            return 1;
-          }
-          if (!first_divergence_handled) {
-            first_divergence_handled = true;
-            DifferentialHarness::ShrinkOutcome shrunk =
-                HandleDivergence(opt, config, ops, result);
-            if (shrunk.ops.size() > opt.max_repro_ops) {
-              std::printf("self-test FAILED: repro has %zu ops, budget is %zu\n",
-                          shrunk.ops.size(), opt.max_repro_ops);
-              self_test_ok = false;
+  for (ProtectionMode mode : opt.modes) {
+    for (const FaultPlan& plan : plans) {
+      DiffResult cell;
+      for (bool rcache : opt.rcaches) {
+        for (std::uint64_t s = 0; s < opt.seeds; ++s) {
+          DiffConfig config;
+          config.mode = mode;
+          config.enable_rcache = rcache;
+          config.seed = opt.seed_base + s;
+          config.num_ops = opt.ops;
+          config.pages_per_chunk = opt.pages_per_chunk;
+          config.num_cores = opt.num_cores;
+          config.num_domains = opt.domains;
+          config.bug = opt.bug;
+          config.fault_plan = plan.name;
+          const std::vector<DiffOp> ops = DifferentialHarness::GenerateOps(config);
+          const DiffResult result = DifferentialHarness::Run(config, ops);
+          ++runs;
+          Accumulate(&cell, result);
+          if (result.diverged) {
+            ++diverged;
+            if (!opt.expect_divergence) {
+              DifferentialHarness::ShrinkOutcome shrunk =
+                  HandleDivergence(opt, config, ops, result);
+              ReproRoundTrips(config, shrunk.ops);
+              return 1;
             }
-            if (!ReproRoundTrips(config, shrunk.ops)) {
-              self_test_ok = false;
+            if (!first_divergence_handled) {
+              first_divergence_handled = true;
+              DifferentialHarness::ShrinkOutcome shrunk =
+                  HandleDivergence(opt, config, ops, result);
+              if (shrunk.ops.size() > opt.max_repro_ops) {
+                std::printf("self-test FAILED: repro has %zu ops, budget is %zu\n",
+                            shrunk.ops.size(), opt.max_repro_ops);
+                self_test_ok = false;
+              }
+              if (!ReproRoundTrips(config, shrunk.ops)) {
+                self_test_ok = false;
+              }
             }
+          } else if (opt.expect_divergence) {
+            std::printf("self-test FAILED: bug=%s NOT detected (mode=%s rcache=%d seed=%llu)\n",
+                        InjectedBugName(opt.bug), ModeToken(mode), rcache ? 1 : 0,
+                        static_cast<unsigned long long>(config.seed));
+            self_test_ok = false;
           }
-        } else if (opt.expect_divergence) {
-          std::printf("self-test FAILED: bug=%s NOT detected (mode=%s rcache=%d seed=%llu)\n",
-                      InjectedBugName(opt.bug), ModeToken(mode), rcache ? 1 : 0,
-                      static_cast<unsigned long long>(config.seed));
-          self_test_ok = false;
+          if (!opt.quiet && !result.diverged) {
+            std::printf("ok mode=%s%s%s rcache=%d seed=%llu ops=%llu maps=%llu unmaps=%llu "
+                        "dmas=%llu faults=%llu stale=%llu\n",
+                        ModeToken(mode), matrix ? " plan=" : "", matrix ? plan.name.c_str() : "",
+                        rcache ? 1 : 0, static_cast<unsigned long long>(config.seed),
+                        static_cast<unsigned long long>(result.ops_executed),
+                        static_cast<unsigned long long>(result.maps),
+                        static_cast<unsigned long long>(result.unmaps),
+                        static_cast<unsigned long long>(result.dmas),
+                        static_cast<unsigned long long>(result.faults),
+                        static_cast<unsigned long long>(result.stale_uses));
+          }
         }
-        if (!opt.quiet && !result.diverged) {
-          std::printf("ok mode=%s rcache=%d seed=%llu ops=%llu maps=%llu unmaps=%llu "
-                      "dmas=%llu faults=%llu stale=%llu\n",
-                      ModeToken(mode), rcache ? 1 : 0,
-                      static_cast<unsigned long long>(config.seed),
-                      static_cast<unsigned long long>(result.ops_executed),
-                      static_cast<unsigned long long>(result.maps),
-                      static_cast<unsigned long long>(result.unmaps),
-                      static_cast<unsigned long long>(result.dmas),
-                      static_cast<unsigned long long>(result.faults),
-                      static_cast<unsigned long long>(result.stale_uses));
-        }
+      }
+      Accumulate(&total, cell);
+      if (matrix) {
+        failed_expectations += CheckFaultCell(mode, plan, cell, opt.quiet);
       }
     }
   }
@@ -323,10 +484,10 @@ int Main(int argc, char** argv) {
   std::printf("fsio_diff: %llu runs, %llu diverged, %llu ops, %llu dmas "
               "(%llu faults, %llu stale uses)\n",
               static_cast<unsigned long long>(runs), static_cast<unsigned long long>(diverged),
-              static_cast<unsigned long long>(total_ops),
-              static_cast<unsigned long long>(total_dmas),
-              static_cast<unsigned long long>(total_faults),
-              static_cast<unsigned long long>(total_stale));
+              static_cast<unsigned long long>(total.ops_executed),
+              static_cast<unsigned long long>(total.dmas),
+              static_cast<unsigned long long>(total.faults),
+              static_cast<unsigned long long>(total.stale_uses));
   if (opt.expect_divergence) {
     if (diverged == runs && self_test_ok) {
       std::printf("self-test PASSED: bug=%s detected in all %llu runs\n",
@@ -337,7 +498,12 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(diverged), static_cast<unsigned long long>(runs));
     return 1;
   }
-  return diverged == 0 ? 0 : 1;
+  if (matrix) {
+    std::printf("fault matrix: %zu cells, %d expectation(s) failed: %s\n",
+                opt.modes.size() * plans.size(), failed_expectations,
+                failed_expectations == 0 ? "OK" : "FAILED");
+  }
+  return diverged == 0 && failed_expectations == 0 ? 0 : 1;
 }
 
 }  // namespace

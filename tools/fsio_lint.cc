@@ -898,9 +898,8 @@ void CheckUncheckedDescriptorEnqueue(const SourceFile& file, std::vector<Diagnos
 // "sweeps all N modes" or "the N IOMMU modes" (N a literal number) in
 // comments, help strings, or code goes stale the day a mode is added or
 // removed, and nothing ever fails: the sweep silently under-covers. The
-// canonical tables are ProtectionMode/kProtectionModeCount in
-// src/driver/protection.h and kAllModes in tests/test_util.h; reference
-// those (or spell the modes out) instead of a literal count. Scans RAW
+// canonical table is kAllModes in src/driver/protection.h; reference it
+// (or spell the modes out) instead of a literal count. Scans RAW
 // lines: stale counts hide in comments and usage strings, exactly the text
 // the code view blanks.
 
@@ -929,8 +928,8 @@ bool SkipWordCI(const std::string& line, std::size_t* pos, const char* word) {
 }
 
 void CheckStaleModeCount(const SourceFile& file, std::vector<Diagnostic>* diags) {
-  if (file.path == "src/driver/protection.h" || file.path == "tests/test_util.h") {
-    return;  // the canonical mode tables themselves
+  if (file.path == "src/driver/protection.h") {
+    return;  // the canonical mode table itself
   }
   for (std::size_t li = 0; li < file.raw.size(); ++li) {
     const std::string& line = file.raw[li];
@@ -963,9 +962,8 @@ void CheckStaleModeCount(const SourceFile& file, std::vector<Diagnostic>* diags)
       if (!Suppressed(file, li + 1, "stale-mode-count")) {
         diags->push_back({file.path, li + 1, "stale-mode-count",
                           "hardcoded protection-mode count; reference the "
-                          "canonical mode table (ProtectionMode in "
-                          "src/driver/protection.h, kAllModes in "
-                          "tests/test_util.h) or spell the modes out"});
+                          "canonical mode table (kAllModes in "
+                          "src/driver/protection.h) or spell the modes out"});
       }
       break;  // one diagnostic per line is enough
     }

@@ -22,8 +22,9 @@
 // Output is deterministic for fixed arguments.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "src/check/model.h"
 #include "src/driver/protection.h"
 #include "src/refmodel/diff_harness.h"
+#include "tools/cli.h"
 
 namespace fsio {
 namespace {
@@ -45,7 +47,7 @@ using check::ReplayOutcome;
 using check::ShrunkTrace;
 
 struct Options {
-  std::string mode = "all";  // "all" or one mode token
+  std::vector<ProtectionMode> modes{std::begin(kAllModes), std::end(kAllModes)};
   std::uint32_t depth = 12;
   std::uint32_t domains = 1;
   std::uint32_t pages = 2;
@@ -84,24 +86,20 @@ void Usage() {
 
 bool ParseArgs(int argc, char** argv, Options* opt) {
   auto need = [&](int i) { return i + 1 < argc; };
+  auto count = [&](int* i, std::uint64_t min, std::uint64_t max) {
+    const char* flag = argv[*i];
+    return cli::ParseUint<std::uint64_t>("fsio_model", flag, argv[++*i], min, max);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--mode" && need(i)) {
-      opt->mode = argv[++i];
+      opt->modes = cli::ParseModes("fsio_model", "--mode", argv[++i]);
     } else if (a == "--depth" && need(i)) {
-      opt->depth = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      opt->depth = static_cast<std::uint32_t>(count(&i, 1, 0xffffffffULL));
     } else if (a == "--domains" && need(i)) {
-      opt->domains = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (opt->domains == 0 || opt->domains > check::kMaxDomains) {
-        std::fprintf(stderr, "fsio_model: --domains must be 1..%u\n", check::kMaxDomains);
-        return false;
-      }
+      opt->domains = static_cast<std::uint32_t>(count(&i, 1, check::kMaxDomains));
     } else if (a == "--pages" && need(i)) {
-      opt->pages = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (opt->pages == 0 || opt->pages > check::kMaxPages) {
-        std::fprintf(stderr, "fsio_model: --pages must be 1..%u\n", check::kMaxPages);
-        return false;
-      }
+      opt->pages = static_cast<std::uint32_t>(count(&i, 1, check::kMaxPages));
     } else if (a == "--bug" && need(i)) {
       if (!ParseBugToken(argv[++i], &opt->bug)) {
         std::fprintf(stderr, "fsio_model: unknown bug token '%s'\n", argv[i]);
@@ -110,7 +108,7 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     } else if (a == "--expect-violation") {
       opt->expect_violation = true;
     } else if (a == "--max-trace-steps" && need(i)) {
-      opt->max_trace_steps = std::strtoull(argv[++i], nullptr, 10);
+      opt->max_trace_steps = count(&i, 0, ~0ULL);
     } else if (a == "--trace-out" && need(i)) {
       opt->trace_out = argv[++i];
     } else if (a == "--replay" && need(i)) {
@@ -129,23 +127,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     }
   }
   return true;
-}
-
-std::vector<ProtectionMode> ModesFor(const Options& opt, bool* ok) {
-  *ok = true;
-  if (opt.mode == "all") {
-    return {ProtectionMode::kOff,           ProtectionMode::kStrict,
-            ProtectionMode::kDeferred,      ProtectionMode::kStrictPreserve,
-            ProtectionMode::kStrictContig,  ProtectionMode::kFastSafe,
-            ProtectionMode::kHugepagePersistent, ProtectionMode::kCapability};
-  }
-  ProtectionMode m;
-  if (!ParseModeToken(opt.mode, &m)) {
-    std::fprintf(stderr, "fsio_model: unknown mode token '%s'\n", opt.mode.c_str());
-    *ok = false;
-    return {};
-  }
-  return {m};
 }
 
 // A bug only has power where its protocol machinery exists: the IOTLB bugs
@@ -263,11 +244,6 @@ int Main(int argc, char** argv) {
   if (!opt.replay.empty()) {
     return Replay(opt);
   }
-  bool ok = true;
-  const std::vector<ProtectionMode> modes = ModesFor(opt, &ok);
-  if (!ok) {
-    return 2;
-  }
   if (opt.expect_violation && opt.bug == InjectedBug::kNone) {
     std::fprintf(stderr, "fsio_model: --expect-violation requires --bug\n");
     return 2;
@@ -280,7 +256,7 @@ int Main(int argc, char** argv) {
   bool power_test_ok = true;
   bool any_unexpected = false;
 
-  for (ProtectionMode mode : modes) {
+  for (ProtectionMode mode : opt.modes) {
     CheckConfig config;
     config.model.mode = mode;
     config.model.bug = opt.bug;

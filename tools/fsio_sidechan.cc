@@ -35,6 +35,7 @@
 #include "src/simcore/rng.h"
 #include "src/stats/counters.h"
 #include "src/tenant/domain.h"
+#include "tools/cli.h"
 
 namespace fsio {
 namespace {
@@ -63,11 +64,11 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--trials" && need(i)) {
-      opt->trials = std::strtoull(argv[++i], nullptr, 10);
+      opt->trials = cli::ParseUint<std::uint64_t>("fsio_sidechan", a, argv[++i], 1);
     } else if (a == "--victim-pages" && need(i)) {
-      opt->victim_pages = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      opt->victim_pages = cli::ParseUint<std::uint32_t>("fsio_sidechan", a, argv[++i], 1);
     } else if (a == "--seed" && need(i)) {
-      opt->seed = std::strtoull(argv[++i], nullptr, 10);
+      opt->seed = cli::ParseUint<std::uint64_t>("fsio_sidechan", a, argv[++i]);
     } else if (a == "--partition" && need(i)) {
       opt->partition = argv[++i];
     } else if (a == "--expect-defense") {

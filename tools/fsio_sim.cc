@@ -20,8 +20,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/apps/incast.h"
@@ -32,6 +34,7 @@
 #include "src/trace/chrome_trace.h"
 #include "src/trace/time_series.h"
 #include "src/trace/tracer.h"
+#include "tools/cli.h"
 
 namespace {
 
@@ -146,21 +149,16 @@ void PrintUsage() {
       "  --help");
 }
 
-bool ParseU32(const char* arg, const char* prefix, std::uint32_t* out) {
+// Matches `--flag=VALUE` and parses VALUE as a checked decimal in
+// [min, max]; a bad value is a diagnostic naming the flag and exit 2.
+template <typename T>
+bool ParseNumber(const char* arg, const char* prefix, T* out, T min = 0,
+                 T max = std::numeric_limits<T>::max()) {
   const std::size_t n = std::strlen(prefix);
   if (std::strncmp(arg, prefix, n) != 0) {
     return false;
   }
-  *out = static_cast<std::uint32_t>(std::strtoul(arg + n, nullptr, 10));
-  return true;
-}
-
-bool ParseU64(const char* arg, const char* prefix, std::uint64_t* out) {
-  const std::size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) {
-    return false;
-  }
-  *out = std::strtoull(arg + n, nullptr, 10);
+  *out = fsio::cli::ParseUint<T>("fsio_sim", std::string_view(prefix, n - 1), arg + n, min, max);
   return true;
 }
 
@@ -173,21 +171,22 @@ bool ParseString(const char* arg, const char* prefix, std::string* out) {
   return true;
 }
 
-bool ParseU32List(const char* arg, const char* prefix, std::vector<std::uint32_t>* out) {
+bool ParseFlowList(const char* arg, const char* prefix, std::vector<std::uint32_t>* out) {
   const std::size_t n = std::strlen(prefix);
   if (std::strncmp(arg, prefix, n) != 0) {
     return false;
   }
   out->clear();
-  for (const char* p = arg + n; *p != '\0';) {
-    char* end = nullptr;
-    out->push_back(static_cast<std::uint32_t>(std::strtoul(p, &end, 10)));
-    p = (end != nullptr && *end == ',') ? end + 1 : end;
-    if (p == nullptr) {
-      break;
+  std::string_view rest(arg + n);
+  for (;;) {
+    const std::size_t comma = rest.find(',');
+    out->push_back(fsio::cli::ParseUint<std::uint32_t>(
+        "fsio_sim", std::string_view(prefix, n - 1), rest.substr(0, comma), 1));
+    if (comma == std::string_view::npos) {
+      return true;
     }
+    rest.remove_prefix(comma + 1);
   }
-  return true;
 }
 
 std::vector<fsio::ProtectionMode> ParseModeList(const char* list) {
@@ -209,6 +208,10 @@ std::vector<fsio::ProtectionMode> ParseModeList(const char* list) {
   return modes;
 }
 
+// Millisecond (and microsecond) flags are scaled to nanoseconds and summed
+// (warmup + window); this bound keeps that arithmetic from wrapping.
+constexpr std::uint64_t kMaxMs = std::numeric_limits<std::uint64_t>::max() / fsio::kNsPerMs / 4;
+
 Options Parse(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
@@ -217,25 +220,26 @@ Options Parse(int argc, char** argv) {
       options.mode = ParseMode(arg + 7);
     } else if (std::strncmp(arg, "--tenant-modes=", 15) == 0) {
       options.tenant_modes = ParseModeList(arg + 15);
-    } else if (ParseU32(arg, "--flows=", &options.flows) ||
-               ParseU32(arg, "--cores=", &options.cores) ||
-               ParseU32(arg, "--ring=", &options.ring) ||
-               ParseU32(arg, "--mtu=", &options.mtu) ||
-               ParseU32(arg, "--walkers=", &options.walkers) ||
-               ParseU32(arg, "--iotlb-entries=", &options.iotlb_entries) ||
-               ParseU32(arg, "--hosts=", &options.hosts) ||
-               ParseU32(arg, "--switches=", &options.switches) ||
-               ParseU32(arg, "--jobs=", &options.jobs) ||
-               ParseU32(arg, "--tenants=", &options.tenants) ||
-               ParseU64(arg, "--tenant-rounds=", &options.tenant_rounds) ||
+    } else if (ParseNumber(arg, "--flows=", &options.flows, 1u) ||
+               ParseNumber(arg, "--cores=", &options.cores, 1u) ||
+               ParseNumber(arg, "--ring=", &options.ring, 1u) ||
+               ParseNumber(arg, "--mtu=", &options.mtu, 1u) ||
+               ParseNumber(arg, "--walkers=", &options.walkers, 1u) ||
+               ParseNumber(arg, "--iotlb-entries=", &options.iotlb_entries) ||
+               ParseNumber(arg, "--hosts=", &options.hosts) ||
+               ParseNumber(arg, "--switches=", &options.switches) ||
+               ParseNumber(arg, "--jobs=", &options.jobs) ||
+               ParseNumber(arg, "--tenants=", &options.tenants) ||
+               ParseNumber(arg, "--tenant-rounds=", &options.tenant_rounds) ||
                ParseString(arg, "--iotlb-partition=", &options.iotlb_partition) ||
-               ParseU64(arg, "--warmup-ms=", &options.warmup_ms) ||
-               ParseU64(arg, "--window-ms=", &options.window_ms) ||
-               ParseU64(arg, "--metrics-interval=", &options.metrics_interval_us) ||
+               ParseNumber(arg, "--warmup-ms=", &options.warmup_ms, std::uint64_t{0}, kMaxMs) ||
+               ParseNumber(arg, "--window-ms=", &options.window_ms, std::uint64_t{1}, kMaxMs) ||
+               ParseNumber(arg, "--metrics-interval=", &options.metrics_interval_us,
+                           std::uint64_t{1}, kMaxMs) ||
                ParseString(arg, "--trace-filter=", &options.trace_filter) ||
                ParseString(arg, "--trace=", &options.trace_path) ||
                ParseString(arg, "--metrics=", &options.metrics_path) ||
-               ParseU32List(arg, "--sweep-flows=", &options.sweep_flows)) {
+               ParseFlowList(arg, "--sweep-flows=", &options.sweep_flows)) {
       // parsed
     } else if (std::strcmp(arg, "--hugepages") == 0) {
       options.hugepages = true;

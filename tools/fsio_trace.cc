@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "tools/cli.h"
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -673,7 +675,7 @@ int main(int argc, char** argv) {
   std::string cat_prefix;
   for (int i = 2; i < argc; ++i) {
     if (std::strncmp(argv[i], "--n=", 4) == 0) {
-      top_n = std::strtoull(argv[i] + 4, nullptr, 10);
+      top_n = fsio::cli::ParseUint<std::size_t>("fsio_trace", "--n", argv[i] + 4, 1);
     } else if (std::strncmp(argv[i], "--cat=", 6) == 0) {
       cat_prefix = argv[i] + 6;
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
