@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark) for the substrate data structures:
-// IOVA allocation paths, IO page table operations, IOMMU cache operations
-// and reuse-distance tracking. These measure simulator-implementation speed
+// IOVA allocation paths, IO page table operations, IOMMU cache operations,
+// the root-complex DMA datapath, the memory model and reuse-distance
+// tracking. These measure simulator-implementation speed
 // (how fast the model itself runs), complementing the figure benches which
 // measure *simulated* performance.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/cache/set_assoc_cache.h"
@@ -14,6 +16,7 @@
 #include "src/iova/rbtree_allocator.h"
 #include "src/mem/memory_system.h"
 #include "src/pagetable/io_page_table.h"
+#include "src/pcie/root_complex.h"
 #include "src/simcore/rng.h"
 #include "src/stats/reuse_distance.h"
 
@@ -192,6 +195,91 @@ void BM_IommuTranslateWarm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IommuTranslateWarm);
+
+// A root complex over 8 mapped 4 KB pages, one single-page DMA per page.
+// With `with_iommu`, the IOMMU is warmed so every page hits the IOTLB;
+// without, the RC runs in bypass (no translation).
+class RootComplexBench {
+ public:
+  static constexpr int kPages = 8;
+
+  explicit RootComplexBench(bool with_iommu)
+      : memory_(MemoryConfig{}, &stats_),
+        iommu_(IommuConfig{}, &memory_, &pt_, &stats_),
+        rc_(PcieConfig{}, with_iommu ? &iommu_ : nullptr, &memory_, &stats_) {
+    for (int i = 0; i < kPages; ++i) {
+      const Iova iova = 0x1000000 + static_cast<Iova>(i) * kPageSize;
+      pt_.Map(iova, 0x40000000 + static_cast<PhysAddr>(i) * kPageSize);
+      pages_.push_back({DmaSegment{iova, static_cast<std::uint32_t>(kPageSize)}});
+    }
+    for (const auto& page : pages_) {
+      rc_.DmaWrite(0, page);
+    }
+  }
+
+  // Runs `dma` once per iteration, cycling over the pages; each DMA starts
+  // when the previous one left the link, as a streaming NIC issues them.
+  template <typename Dma>
+  void Run(benchmark::State& state, Dma dma) {
+    TimeNs t = 1'000'000;
+    std::size_t i = 0;
+    for (auto _ : state) {
+      const DmaTiming timing = dma(rc_, t, pages_[i++ % kPages]);
+      t = timing.link_done;
+      benchmark::DoNotOptimize(timing);
+    }
+    // Items are TLPs (256 B each at the default max payload).
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kPageSize / 256));
+  }
+
+ private:
+  StatsRegistry stats_;
+  MemorySystem memory_;
+  IoPageTable pt_;
+  Iommu iommu_;
+  RootComplex rc_;
+  std::vector<std::vector<DmaSegment>> pages_;
+};
+
+void BM_RootComplexWritePage(benchmark::State& state) {
+  RootComplexBench bench(state.range(0) != 0);
+  bench.Run(state, [](RootComplex& rc, TimeNs t, const std::vector<DmaSegment>& page) {
+    return rc.DmaWrite(t, page);
+  });
+}
+BENCHMARK(BM_RootComplexWritePage)->ArgName("iommu")->Arg(0)->Arg(1);
+
+void BM_RootComplexReadPage(benchmark::State& state) {
+  RootComplexBench bench(state.range(0) != 0);
+  bench.Run(state, [](RootComplex& rc, TimeNs t, const std::vector<DmaSegment>& page) {
+    return rc.DmaRead(t, page);
+  });
+}
+BENCHMARK(BM_RootComplexReadPage)->ArgName("iommu")->Arg(0)->Arg(1);
+
+// Posted writes on the default 8-bank memory from a seeded stream mixing
+// 256 B payload commits and 64 B (cacheline) accesses at 0-15 ns gaps, so
+// the banks stay busy and the earliest-free pick is not a fixed rotation.
+void BM_MemorySystemPost(benchmark::State& state) {
+  StatsRegistry stats;
+  MemorySystem memory(MemoryConfig{}, &stats);
+  Rng rng(5);
+  std::vector<std::pair<TimeNs, std::uint64_t>> stream(4096);
+  for (auto& [gap, bytes] : stream) {
+    gap = rng.NextBelow(16);
+    bytes = rng.NextBool(0.5) ? 256 : 64;
+  }
+  TimeNs t = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [gap, bytes] = stream[i++ & 4095];
+    t += gap;
+    memory.Post(t, bytes);
+  }
+  benchmark::DoNotOptimize(memory.total_bytes());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MemorySystemPost);
 
 void BM_ReuseDistanceAccess(benchmark::State& state) {
   ReuseDistanceTracker tracker;

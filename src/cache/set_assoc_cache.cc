@@ -171,6 +171,17 @@ std::optional<std::uint64_t> SetAssocCache::Lookup(std::uint64_t tag, HitHandle*
 
 std::uint64_t SetAssocCache::RepeatHit(HitHandle handle) { return Touch(handle); }
 
+void SetAssocCache::RepeatHit(HitHandle handle, std::uint64_t n) {
+  if (n == 0) {
+    return;
+  }
+  // Only the last of n touches decides the entry's tick and list position.
+  hits_ += n;
+  tick_ += n;
+  entries_[handle].lru = tick_;
+  MoveToFront(handle);
+}
+
 std::optional<std::uint64_t> SetAssocCache::Peek(std::uint64_t tag) const {
   const IndexEntry& e = index_[IndexProbe(tag)];
   if (e.slot == kNoSlot) {

@@ -46,8 +46,12 @@ class SetAssocCache {
   // checked mutation_version() is unchanged since the handle was obtained.
   std::uint64_t RepeatHit(HitHandle handle);
 
-  // Replays the effects of a Lookup miss (miss counter only).
-  void NoteRepeatMiss() { ++misses_; }
+  // Replays `n` consecutive RepeatHit(handle) calls in one step: `n` hits,
+  // `n` LRU ticks, one move to the front. `n` == 0 is a no-op.
+  void RepeatHit(HitHandle handle, std::uint64_t n);
+
+  // Replays the effects of `n` Lookup misses (miss counter only).
+  void NoteRepeatMiss(std::uint64_t n = 1) { misses_ += n; }
 
   // Incremented by every call that may change entry contents (Insert and all
   // invalidations that remove at least one entry). Lookup never bumps it.

@@ -151,10 +151,7 @@ TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs start) {
   // would return the same answer. Replay the memoized outcome — with the
   // exact counter and LRU effects of the probes it skips — as long as
   // neither the IOTLB nor the page table has mutated since the memo formed.
-  if (page == repeat_.page && repeat_.domain == domain &&
-      iotlb_.mutation_version() == repeat_.iotlb_version &&
-      (!config_.track_safety ||
-       pt->mutation_version() == repeat_.pt_version)) {
+  if (MemoServes(domain, page, pt)) {
     out.iotlb_hit = true;
     out.phys = repeat_.base + (iova & repeat_.offset_mask);
     out.done = start;
@@ -277,6 +274,28 @@ TranslationResult Iommu::Translate(DomainId domain, Iova iova, TimeNs start) {
   }
   NotifyOracle(domain, iova, start, out);
   return out;
+}
+
+bool Iommu::ClaimRepeatHits(DomainId domain, Iova iova, std::uint64_t n) {
+  const DomainTable::Entry* dom = domains_.Find(domain);
+  // A stale or cross-domain replay counts and traces per access, and an
+  // oracle records each access with its own timestamp: those stay per-TLP.
+  if (dom == nullptr || dom->oracle != nullptr ||
+      !MemoServes(domain, PageNumber(iova), dom->page_table) || repeat_.stale ||
+      repeat_.cross_domain) {
+    return false;
+  }
+  translations_->Add(n);
+  if (domains_.multi_domain()) {
+    DomainCounters& c = CountersFor(domain);
+    c.translations->Add(n);
+    c.iotlb_hits->Add(n);
+  }
+  if (repeat_.huge) {
+    iotlb_.NoteRepeatMiss(n);
+  }
+  iotlb_.RepeatHit(repeat_.entry, n);
+  return true;
 }
 
 TranslationResult Iommu::WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova,

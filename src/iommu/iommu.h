@@ -135,6 +135,16 @@ class Iommu {
     return Translate(kHostDomain, iova, start);
   }
 
+  // Page-run claim: accounts `n` further translations of `iova`'s page by
+  // `domain` in one step, exactly as `n` Translate calls would — provided
+  // each of them would take the repeat-hit path with no per-access effect
+  // (memo valid for this page, neither stale nor cross-domain, domain live,
+  // no safety oracle attached). Those calls would all return
+  // `done == start` and the memoized physical address. Returns false, and
+  // changes nothing, when the claim does not hold; the caller then
+  // translates access by access.
+  bool ClaimRepeatHits(DomainId domain, Iova iova, std::uint64_t n);
+
   // Invalidation-queue request covering [start, start + len) of `domain`'s
   // IOVA space: always drops the range's IOTLB entries; when `leaf_only` is
   // false, also drops the PTcache entries whose span intersects the range
@@ -223,6 +233,14 @@ class Iommu {
     Counter* iotlb_invalidated = nullptr;  // entries dropped by selective flush
     Counter* inv_requests = nullptr;
   };
+
+  // True when Translate(domain, <an iova in `page`>) would replay the memo:
+  // the one validity test Translate and ClaimRepeatHits share.
+  bool MemoServes(DomainId domain, std::uint64_t page, const IoPageTable* pt) const {
+    return page == repeat_.page && repeat_.domain == domain &&
+           iotlb_.mutation_version() == repeat_.iotlb_version &&
+           (!config_.track_safety || pt->mutation_version() == repeat_.pt_version);
+  }
 
   TranslationResult WalkAndFill(DomainId domain, IoPageTable* pt, Iova iova, TimeNs start);
   // Reports the translation to the domain's safety oracle (no-op without one).

@@ -1,49 +1,43 @@
 #include "src/mem/memory_system.h"
 
+#include <stdexcept>
 #include <vector>
-
-#include "src/mem/address.h"
 
 namespace fsio {
 
+namespace {
+const MemoryConfig& Validated(const MemoryConfig& config) {
+  if (config.parallel_banks == 0) {
+    throw std::invalid_argument("MemorySystem: parallel_banks must be >= 1");
+  }
+  if (!(config.bandwidth_gbps > 0.0)) {
+    throw std::invalid_argument("MemorySystem: bandwidth_gbps must be > 0");
+  }
+  return config;
+}
+}  // namespace
+
 MemorySystem::MemorySystem(const MemoryConfig& config, StatsRegistry* stats)
-    : config_(config),
-      bytes_per_ns_(GbpsToBytesPerNs(config.bandwidth_gbps)),
-      bank_free_(config.parallel_banks == 0 ? 1 : config.parallel_banks, 0),
+    : config_(Validated(config)),
+      per_bank_bw_(GbpsToBytesPerNs(config.bandwidth_gbps) /
+                   static_cast<double>(config.parallel_banks)),
+      bank_free_(config.parallel_banks, 0),
+      occupancy_by_bytes_(kPageSize + 1, 0),
       accesses_(stats->Get("mem.accesses")),
       queued_ns_(stats->Get("mem.queued_ns")) {}
 
-TimeNs MemorySystem::Access(TimeNs start, std::uint64_t bytes) {
-  if (bytes < kCachelineSize) {
-    bytes = kCachelineSize;
-  }
-  total_bytes_ += bytes;
-  accesses_->Add();
+TimeNs MemorySystem::ComputeOccupancy(std::uint64_t bytes) {
   // Each bank serves one access at a time; occupancy is the transfer time of
-  // the access's bytes at the per-bank share of total bandwidth. Accesses
-  // pick the earliest-free bank (an open-bank scheduler would do no worse),
-  // so queueing appears only when aggregate demand approaches the pin rate.
-  const double per_bank_bw = bytes_per_ns_ / static_cast<double>(bank_free_.size());
-  auto occupancy = static_cast<TimeNs>(static_cast<double>(bytes) / per_bank_bw);
+  // the access's bytes at the per-bank share of total bandwidth.
+  auto occupancy = static_cast<TimeNs>(static_cast<double>(bytes) / per_bank_bw_);
   if (occupancy == 0) {
     occupancy = 1;
   }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < bank_free_.size(); ++i) {
-    if (bank_free_[i] < bank_free_[best]) {
-      best = i;
-    }
+  if (bytes < occupancy_by_bytes_.size()) {
+    occupancy_by_bytes_[bytes] = occupancy;
   }
-  TimeNs& bank = bank_free_[best];
-  const TimeNs grant = bank > start ? bank : start;
-  if (grant > start) {
-    queued_ns_->Add(grant - start);
-  }
-  bank = grant + occupancy;
-  return grant + config_.access_latency_ns;
+  return occupancy;
 }
-
-TimeNs MemorySystem::Read(TimeNs start, std::uint64_t bytes) { return Access(start, bytes); }
 
 TimeNs MemorySystem::ReadWalkSequence(TimeNs start, int reads, TimeNs step_overhead_ns,
                                       std::uint64_t bytes_per_read) {
@@ -51,41 +45,20 @@ TimeNs MemorySystem::ReadWalkSequence(TimeNs start, int reads, TimeNs step_overh
     return start;
   }
   // Every read in the sequence moves the same byte count, so the occupancy
-  // computation hoists out of the loop; the bank choice and queueing charge
+  // lookup hoists out of the loop; the bank choice and queueing charge
   // stay per-read, bit-for-bit what the old per-PTE Read() calls produced.
   std::uint64_t bytes = bytes_per_read;
   if (bytes < kCachelineSize) {
     bytes = kCachelineSize;
   }
-  const double per_bank_bw = bytes_per_ns_ / static_cast<double>(bank_free_.size());
-  auto occupancy = static_cast<TimeNs>(static_cast<double>(bytes) / per_bank_bw);
-  if (occupancy == 0) {
-    occupancy = 1;
-  }
+  const TimeNs occupancy = Occupancy(bytes);
   total_bytes_ += bytes * static_cast<std::uint64_t>(reads);
   accesses_->Add(static_cast<std::uint64_t>(reads));
   TimeNs t = start;
   for (int i = 0; i < reads; ++i) {
-    const TimeNs issue = t + step_overhead_ns;
-    std::size_t best = 0;
-    for (std::size_t b = 1; b < bank_free_.size(); ++b) {
-      if (bank_free_[b] < bank_free_[best]) {
-        best = b;
-      }
-    }
-    TimeNs& bank = bank_free_[best];
-    const TimeNs grant = bank > issue ? bank : issue;
-    if (grant > issue) {
-      queued_ns_->Add(grant - issue);
-    }
-    bank = grant + occupancy;
-    t = grant + config_.access_latency_ns;
+    t = Grant(t + step_overhead_ns, occupancy) + config_.access_latency_ns;
   }
   return t;
 }
-
-TimeNs MemorySystem::Write(TimeNs start, std::uint64_t bytes) { return Access(start, bytes); }
-
-void MemorySystem::Post(TimeNs start, std::uint64_t bytes) { Access(start, bytes); }
 
 }  // namespace fsio

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/mem/address.h"
 #include "src/simcore/time.h"
 #include "src/stats/counters.h"
 
@@ -25,14 +26,16 @@ struct MemoryConfig {
 
 class MemorySystem {
  public:
+  // Throws std::invalid_argument when `parallel_banks` is 0 or
+  // `bandwidth_gbps` is not positive.
   explicit MemorySystem(const MemoryConfig& config, StatsRegistry* stats);
 
   // Issues a read of `bytes` at time `start`; returns the completion time.
   // Reads shorter than a cacheline still transfer a full cacheline.
-  TimeNs Read(TimeNs start, std::uint64_t bytes);
+  TimeNs Read(TimeNs start, std::uint64_t bytes) { return Access(start, bytes); }
 
   // Issues a write of `bytes` at time `start`; returns the completion time.
-  TimeNs Write(TimeNs start, std::uint64_t bytes);
+  TimeNs Write(TimeNs start, std::uint64_t bytes) { return Access(start, bytes); }
 
   // Page-walk batch: `reads` dependent reads of `bytes_per_read` each, the
   // i-th issued `step_overhead_ns` after the (i-1)-th completes. One grouped
@@ -45,18 +48,61 @@ class MemorySystem {
 
   // Posted write: consumes bank bandwidth (affecting later accesses' queueing)
   // but the caller does not wait for it. Used for pipelined payload commits.
-  void Post(TimeNs start, std::uint64_t bytes);
+  void Post(TimeNs start, std::uint64_t bytes) { Access(start, bytes); }
 
   std::uint64_t total_bytes() const { return total_bytes_; }
 
  private:
-  TimeNs Access(TimeNs start, std::uint64_t bytes);
+  // One access: every datapath TLP makes one, so the hot path is inline.
+  TimeNs Access(TimeNs start, std::uint64_t bytes) {
+    if (bytes < kCachelineSize) {
+      bytes = kCachelineSize;
+    }
+    total_bytes_ += bytes;
+    accesses_->Add();
+    return Grant(start, Occupancy(bytes)) + config_.access_latency_ns;
+  }
+
+  // Bank occupancy of an access moving `bytes` (already rounded up to a
+  // cacheline): bytes at the per-bank share of bandwidth, at least 1 ns.
+  TimeNs Occupancy(std::uint64_t bytes) {
+    if (bytes < occupancy_by_bytes_.size() && occupancy_by_bytes_[bytes] != 0) {
+      return occupancy_by_bytes_[bytes];
+    }
+    return ComputeOccupancy(bytes);
+  }
+  // Computes Occupancy(bytes), memoizing it for bytes <= kPageSize.
+  TimeNs ComputeOccupancy(std::uint64_t bytes);
+
+  // Grants the earliest-free bank (lowest index on ties) to an access
+  // issued at `issue` for `occupancy`; returns the grant time. Accesses
+  // pick the earliest-free bank (an open-bank scheduler would do no
+  // worse), so queueing appears only when aggregate demand approaches the
+  // pin rate. The scan selects with conditional moves, not branches.
+  TimeNs Grant(TimeNs issue, TimeNs occupancy) {
+    std::size_t best = 0;
+    TimeNs best_free = bank_free_[0];
+    for (std::size_t i = 1; i < bank_free_.size(); ++i) {
+      const bool earlier = bank_free_[i] < best_free;
+      best = earlier ? i : best;
+      best_free = earlier ? bank_free_[i] : best_free;
+    }
+    const TimeNs grant = best_free > issue ? best_free : issue;
+    if (grant > issue) {
+      queued_ns_->Add(grant - issue);
+    }
+    bank_free_[best] = grant + occupancy;
+    return grant;
+  }
 
   MemoryConfig config_;
-  double bytes_per_ns_;
+  double per_bank_bw_;
   // Earliest time each bank is free; round-robin assignment approximates
   // bank-level parallelism without tracking physical addresses.
   std::vector<TimeNs> bank_free_;
+  // Occupancy(bytes) for bytes <= kPageSize, filled on first use (0 = not
+  // yet computed; every occupancy is >= 1).
+  std::vector<TimeNs> occupancy_by_bytes_;
   std::uint64_t total_bytes_ = 0;
   Counter* accesses_;
   Counter* queued_ns_;

@@ -20,11 +20,17 @@
 // are translated, access memory, and return completions downstream; a
 // bounded number of outstanding reads models NIC read parallelism — which is
 // why Tx tolerates more translation-latency inflation than Rx (§4.1).
+//
+// The datapath walks a DMA page run by page run (the TLPs of one segment
+// within one 4 KB page). Once a TLP's translation leaves the IOMMU's
+// repeat-hit memo valid for the page, the run's remaining translations are
+// claimed in one Iommu::ClaimRepeatHits call; every other per-TLP effect
+// (link, RC buffer, commit, memory bank) is still applied TLP by TLP, so
+// timing and counters are those of translating each TLP (DESIGN.md §11).
 #ifndef FASTSAFE_SRC_PCIE_ROOT_COMPLEX_H_
 #define FASTSAFE_SRC_PCIE_ROOT_COMPLEX_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/faults/fault_injector.h"
@@ -70,6 +76,9 @@ struct DmaTiming {
 class RootComplex {
  public:
   // `iommu` may be null: memory protection disabled (bypass, no translation).
+  // Throws std::invalid_argument when `max_payload_bytes` or
+  // `max_outstanding_reads` is 0, or `link_gbps` or `commit_bytes_per_ns`
+  // is not positive.
   RootComplex(const PcieConfig& config, Iommu* iommu, MemorySystem* memory,
               StatsRegistry* stats);
 
@@ -94,12 +103,38 @@ class RootComplex {
   TimeNs ApplyBackpressure(TimeNs start);
 
   // Blocks until the RC buffer can admit `bytes` at or after `t`; returns
-  // the admission time.
+  // the admission time. The stall path is out of line.
   TimeNs WaitForBufferSpace(TimeNs t, std::uint32_t bytes);
+  TimeNs StallForBufferSpace(TimeNs t, std::uint32_t bytes);
+  void PopBuffered();  // drops the oldest buffered TLP
   void ReleaseAt(TimeNs when, std::uint32_t bytes);
+  void GrowRcBuffer();
   TimeNs TranslateAt(DomainId domain, Iova iova, TimeNs at, bool* fault);
 
+  // The page-run splitter shared by DmaWrite and DmaRead. Calls
+  // `tlp(domain, iova, payload, claimed)` for every TLP of `segments` in
+  // order; `tlp` returns true when it translated the TLP without a fault.
+  // `claimed` is true when the TLP's translation was already accounted by
+  // ClaimRepeatHits (or there is no IOMMU): it then translates at arrival.
+  template <typename Tlp>
+  void ForEachTlp(const std::vector<DmaSegment>& segments, Tlp&& tlp);
+
+  // Wire time of a TLP carrying `payload` bytes (header included), and its
+  // drain time into memory; full-size TLPs use the values computed once.
+  TimeNs WireNs(std::uint32_t payload) const {
+    return payload == config_.max_payload_bytes
+               ? full_wire_ns_
+               : SerializationDelayNs(payload + config_.tlp_header_bytes, config_.link_gbps);
+  }
+  TimeNs DrainNs(std::uint32_t payload) const {
+    return payload == config_.max_payload_bytes ? full_drain_ns_ : ComputeDrainNs(payload);
+  }
+  TimeNs ComputeDrainNs(std::uint32_t payload) const;
+
   PcieConfig config_;
+  TimeNs full_wire_ns_;     // WireNs(max_payload_bytes)
+  TimeNs full_drain_ns_;    // DrainNs(max_payload_bytes)
+  TimeNs request_wire_ns_;  // header-only read request
   Iommu* iommu_;
   MemorySystem* memory_;
   FaultInjector* fault_injector_ = nullptr;
@@ -113,10 +148,18 @@ class RootComplex {
     TimeNs release;
     std::uint32_t bytes;
   };
-  std::deque<BufferedBytes> rc_buffer_;  // sorted by release time
+  // Buffered TLPs sorted by release time: a power-of-two ring that doubles
+  // when full and never shrinks.
+  std::vector<BufferedBytes> rc_buffer_;
+  std::size_t rc_buffer_head_ = 0;
+  std::size_t rc_buffer_count_ = 0;
   std::uint64_t rc_buffer_occupancy_ = 0;
 
-  std::deque<TimeNs> outstanding_reads_;  // completion times of reads in flight
+  // Completion times of reads in flight, oldest first: a ring of
+  // max_outstanding_reads entries (never more are in flight).
+  std::vector<TimeNs> outstanding_reads_;
+  std::size_t outstanding_head_ = 0;
+  std::size_t outstanding_count_ = 0;
 
   Counter* write_tlps_;
   Counter* read_tlps_;

@@ -284,14 +284,27 @@ void RunLockstep(SetAssocCache* cache, std::uint64_t seed, int steps) {
       SetAssocCache::HitHandle h = 0;
       const auto got = cache->Lookup(tag, &h);
       ASSERT_EQ(got, ref.Lookup(tag)) << "lookup, step " << i << " tag " << tag;
-      if (got.has_value()) {
+      // Half the hits keep the older handle while it is still valid, so
+      // replays also land on entries that are no longer most recently used.
+      const bool keep = handle_tag.has_value() &&
+                        cache->mutation_version() == handle_version && tag % 2 == 1;
+      if (got.has_value() && !keep) {
         handle_tag = tag;
         handle = h;
         handle_version = cache->mutation_version();
       }
     } else if (op < 55) {
       if (handle_tag.has_value() && cache->mutation_version() == handle_version) {
-        ASSERT_EQ(cache->RepeatHit(handle), ref.Lookup(*handle_tag)) << "repeat, step " << i;
+        if (op < 50) {
+          ASSERT_EQ(cache->RepeatHit(handle), ref.Lookup(*handle_tag)) << "repeat, step " << i;
+        } else {
+          // A batched replay of n hits (n = 0..16) equals n single lookups.
+          const std::uint64_t n = tag % 17;
+          cache->RepeatHit(handle, n);
+          for (std::uint64_t k = 0; k < n; ++k) {
+            ref.Lookup(*handle_tag);
+          }
+        }
       }
     } else if (op < 85) {
       const std::uint64_t payload = rng.NextBelow(8);

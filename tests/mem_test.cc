@@ -1,7 +1,9 @@
 // Unit tests for the memory system model and the physical frame allocator.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <stdexcept>
 
 #include "src/mem/frame_allocator.h"
 #include "src/mem/memory_system.h"
@@ -64,6 +66,33 @@ TEST(MemorySystemTest, PostConsumesBandwidthOnly) {
   const TimeNs done = mem.Read(0, 64);
   EXPECT_GE(done, 1000u + config.access_latency_ns);
 }
+
+// Configs the bandwidth model cannot honour are rejected at construction
+// rather than clamped or turned into infinite occupancies.
+struct BadMemoryConfig {
+  const char* name;
+  std::function<void(MemoryConfig*)> apply;
+};
+
+void PrintTo(const BadMemoryConfig& c, std::ostream* os) { *os << c.name; }
+
+class MemoryConfigValidation : public ::testing::TestWithParam<BadMemoryConfig> {};
+
+TEST_P(MemoryConfigValidation, ConstructorThrows) {
+  StatsRegistry stats;
+  MemoryConfig config;
+  GetParam().apply(&config);
+  EXPECT_THROW(MemorySystem(config, &stats), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, MemoryConfigValidation,
+    ::testing::Values(
+        BadMemoryConfig{"parallel_banks_zero", [](MemoryConfig* c) { c->parallel_banks = 0; }},
+        BadMemoryConfig{"bandwidth_zero", [](MemoryConfig* c) { c->bandwidth_gbps = 0.0; }},
+        BadMemoryConfig{"bandwidth_negative",
+                        [](MemoryConfig* c) { c->bandwidth_gbps = -375.0; }}),
+    [](const ::testing::TestParamInfo<BadMemoryConfig>& info) { return info.param.name; });
 
 TEST(FrameAllocatorTest, AllocatesUniquePageAlignedFrames) {
   FrameAllocator frames;

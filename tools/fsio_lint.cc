@@ -1,7 +1,7 @@
 // fsio_lint: repo-specific static checks the compiler cannot express.
 //
 // Usage:
-//   fsio_lint [--rules=r1,r2] [--scope=src|tests|tools|bench|examples] \
+//   fsio_lint [--rules=r1,r2] [--scope=src|tests|tools|bench|examples]
 //             [--list-rules] PATH...
 //
 // PATHs are files or directories (searched recursively for C++ sources),
